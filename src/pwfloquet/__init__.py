@@ -23,7 +23,6 @@ from .mesh import (
     read_mesh,
     reference_nodes,
     refine_mesh,
-    uniform_family,
     write_mesh,
 )
 from .interp import (

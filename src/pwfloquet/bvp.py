@@ -86,7 +86,7 @@ def _collocation_points(kind: str, m: int) -> np.ndarray:
     return 0.5 * (x + 1.0)
 
 
-def _profile_on_01(source, period_guess: float) -> Callable:
+def _profile_on_01(source) -> Callable:
     if isinstance(source, PiecewiseSolution):
         om = source.omega
         return lambda s: source(np.asarray(s) * om)
@@ -192,8 +192,8 @@ class _System:
         return res
 
 
-def _initial_state_from(sys: _System, source, period_guess) -> np.ndarray:
-    prof = _profile_on_01(source, period_guess)
+def _initial_state_from(sys: _System, source) -> np.ndarray:
+    prof = _profile_on_01(source)
     b = sys.mesh.breakpoints
     vals = []
     for i in range(sys.L):
@@ -208,7 +208,7 @@ def _initial_state_from(sys: _System, source, period_guess) -> np.ndarray:
 
 
 def _initial_state(sys: _System, bvp: BvpProblem) -> np.ndarray:
-    flat = _initial_state_from(sys, bvp.guess_profile, bvp.period_guess)
+    flat = _initial_state_from(sys, bvp.guess_profile)
     return np.concatenate([flat, [float(bvp.period_guess)]])
 
 
@@ -220,7 +220,7 @@ def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.nd
     sys = _System(bvp)
     ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
     sys.set_phase_reference(
-        sys.nodal_view(_initial_state_from(sys, ref, bvp.period_guess))
+        sys.nodal_view(_initial_state_from(sys, ref))
     )
     state = np.concatenate([np.asarray(profile_state, dtype=float).ravel(), [period]])
     return sys.residual(state)
@@ -254,7 +254,7 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
     """
     sys = _System(bvp)
     ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
-    sys.set_phase_reference(sys.nodal_view(_initial_state_from(sys, ref, bvp.period_guess)))
+    sys.set_phase_reference(sys.nodal_view(_initial_state_from(sys, ref)))
     state = _initial_state(sys, bvp)
     r = sys.residual(state)
     rnorm = float(np.abs(r).max())

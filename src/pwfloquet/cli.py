@@ -185,9 +185,6 @@ def _linear_equation(cfg: RunConfig, built: model.Builtin):
     if built.name == "plant-coupled":
         if not isinstance(solution, model.PiecewiseSolution):
             raise ConfigError("plant-coupled needs a solved plant solution")
-        plant_like = model.builtin("plant", **{
-            k: built.params[k] for k in ("a", "b", "eta", "r", "tau")
-        })
         # the orbit comes from the differential form; reorder into (w, v)
         coupled = model.coupled_view_of_plant(solution)
         return model.linearize(built.problem, coupled), coupled
@@ -450,16 +447,16 @@ def main(argv=None) -> int:
             ref = args.reference or "self:2,120"
             return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # bad options, malformed files, meshes missing a breakpoint in strict
+        # mode, and problems over the size cap are all input errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (bvp_mod.ConvergenceError, bvp_mod.SingularJacobianError,
-            monodromy.CoarseDiscretizationError) as exc:
+    except RuntimeError as exc:
+        # the numerical layers signal failure with RuntimeError subclasses
+        # (Newton, singular systems, an orbit guess that does not oscillate)
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,16 +2,17 @@
 
 Restriction samples a function at the grid nodes of one side; prolongation
 evaluates the continuous piecewise interpolant through those samples.
-``integral_weights`` integrates the forward interpolant exactly from 0, and
-``kernel_quadrature`` integrates a matrix kernel against the interpolant.
-All weight builders are linear in the nodal data; the reference tables are
-built once per node family and cached (single initialization, many readers).
+``integral_weights`` integrates the interpolant exactly from the side's
+start, ``window_rule`` gives the quadrature points and weights of windows
+split at the side's breakpoints, and ``kernel_quadrature`` integrates a
+matrix kernel against the interpolant over one window. The weight builders
+are linear in the nodal data and take arrays of evaluation points: one
+``searchsorted`` locates all points, and one Lagrange evaluation serves them
+all.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -29,14 +30,11 @@ __all__ = [
     "prolong_pairs",
     "prolong_weights",
     "integral_weights",
+    "window_rule",
     "kernel_quadrature",
     "lagrange_matrix",
     "derivative_matrix_at",
 ]
-
-_cum_lock = threading.Lock()
-_cum_cache: "weakref.WeakKeyDictionary[GridSide, np.ndarray]" = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True, eq=False)
 class BaryTable:
@@ -148,14 +146,6 @@ def derivative_matrix_at(table: BaryTable, x) -> np.ndarray:
     return out
 
 
-def _partial_integral(table: BaryTable, c: float) -> np.ndarray:
-    # integral of every Lagrange basis from 0 to c, exact for degree <= M
-    if c == 0.0:
-        return np.zeros(table.family.degree + 1)
-    pts = c * table.gauss_x
-    return c * (table.gauss_w @ lagrange_matrix(table, pts))
-
-
 @dataclass(frozen=True, eq=False)
 class NodalFunction:
     """Values of a continuous piecewise polynomial at the nodes of one side."""
@@ -182,34 +172,36 @@ def restrict(f, side: GridSide) -> NodalFunction:
     return NodalFunction(side=side, values=vals)
 
 
-def prolong_pairs(side: GridSide, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _locate(side: GridSide, t: np.ndarray):
+    """Piece index (see ``GridSide.piece_of``), reference coordinate and
+    global columns of each point."""
+    b = side.breakpoints
+    i = side.piece_of(t)
+    x = np.clip((t - b[i]) / (b[i + 1] - b[i]), 0.0, 1.0)
+    m = side.family.degree
+    return i, x, i[..., None] * m + np.arange(m + 1)
+
+
+def prolong_pairs(side: GridSide, t) -> tuple[np.ndarray, np.ndarray]:
     """Sparse interpolation weights at ``t``: (global columns, weights).
 
-    Supported only on the piece containing ``t`` (left piece at shared
-    breakpoints); the weights sum to 1, and an exact node hit gives a unit
-    weight so that interpolation reproduces nodal values bit for bit.
+    Supported only on the piece containing each point; for an array of
+    points both results have shape ``t.shape + (M + 1,)``. The weights sum
+    to 1, and an exact node hit gives a unit weight so that interpolation
+    reproduces nodal values bit for bit.
     """
-    i = side.piece_of(t)
-    cols = side.piece_cols(i)
-    pn = side.piece_nodes[i]
-    hit = np.nonzero(pn == t)[0]
-    if hit.size:
-        w = np.zeros(pn.size)
-        w[hit[0]] = 1.0
-        return cols, w
-    lo = side.breakpoints[i]
-    hi = side.breakpoints[i + 1]
-    x = (t - lo) / (hi - lo)
-    x = min(max(x, 0.0), 1.0)
-    w = lagrange_matrix(bary_table(side.family), x)[0]
-    return cols, w
+    t = np.asarray(t, dtype=float)
+    _, x, cols = _locate(side, t)
+    w = lagrange_matrix(bary_table(side.family), x.ravel()).reshape(cols.shape)
+    hit = side.nodes[cols] == t[..., None]
+    return cols, np.where(hit.any(axis=-1, keepdims=True), hit, w)
 
 
-def prolong_weights(side: GridSide, t: float) -> np.ndarray:
+def prolong_weights(side: GridSide, t) -> np.ndarray:
     """Dense weight vector over all global nodes realizing evaluation at t."""
     cols, w = prolong_pairs(side, t)
-    out = np.zeros(side.n)
-    out[cols] = w
+    out = np.zeros(cols.shape[:-1] + (side.n,))
+    np.put_along_axis(out, cols, w, axis=-1)
     return out
 
 
@@ -219,61 +211,64 @@ def prolong_eval(v: NodalFunction, t: float) -> np.ndarray:
     return w @ v.values[cols]
 
 
-def _cumulative(side: GridSide) -> np.ndarray:
-    """Weights for the integral from the interval start to each breakpoint."""
-    try:
-        return _cum_cache[side]
-    except KeyError:
-        pass
-    with _cum_lock:
-        if side in _cum_cache:
-            return _cum_cache[side]
-        table = bary_table(side.family)
-        m = side.family.degree
-        cum = np.zeros((side.P + 1, side.n))
-        for i in range(side.P):
-            h = side.breakpoints[i + 1] - side.breakpoints[i]
-            cum[i + 1] = cum[i]
-            cum[i + 1, i * m : i * m + m + 1] += h * table.quad
-        cum.setflags(write=False)
-        _cum_cache[side] = cum
-        return cum
-
-
-def integral_weights(side: GridSide, upper: float) -> np.ndarray:
+def integral_weights(side: GridSide, upper) -> np.ndarray:
     """Weights realizing the exact integral of the interpolant on [start, upper].
 
-    Full-piece antiderivative weights for pieces wholly inside, plus partial
-    antiderivative weights on the piece containing ``upper``.
+    Full-piece quadrature weights for pieces wholly inside, plus partial
+    antiderivative weights on the piece containing ``upper``. For an array
+    of endpoints the result has shape ``upper.shape + (n,)``.
     """
-    b = side.breakpoints
-    tol = 1e-12 * max(1.0, abs(b[0]), abs(b[-1]))
-    if upper < b[0] - tol or upper > b[-1] + tol:
-        raise ValueError(f"integration endpoint {upper!r} outside [{b[0]!r}, {b[-1]!r}]")
-    i = side.piece_of(upper)
-    cum = _cumulative(side)
-    w = cum[i].copy()
-    h = b[i + 1] - b[i]
-    c = (upper - b[i]) / h
-    c = min(max(c, 0.0), 1.0)
-    if c > 0.0:
-        table = bary_table(side.family)
-        m = side.family.degree
-        w[i * m : i * m + m + 1] += h * _partial_integral(table, c)
+    upper = np.asarray(upper, dtype=float)
+    i, c, cols = _locate(side, upper)
+    table = bary_table(side.family)
+    m = side.family.degree
+    h = np.diff(side.breakpoints)
+    # weights of the integral from the start to each breakpoint, piece by piece
+    pieces = np.arange(side.P)[:, None]
+    full = np.zeros((side.P, side.n))
+    full[pieces, pieces * m + np.arange(m + 1)] = h[:, None] * table.quad
+    cum = np.zeros_like(full)
+    np.cumsum(full[:-1], axis=0, out=cum[1:])
+    # partial piece: Gauss rule on [0, c], exact for the degree-M basis
+    basis = lagrange_matrix(table, (c[..., None] * table.gauss_x).ravel())
+    partial = c[..., None] * (table.gauss_w @ basis.reshape(c.shape + (-1, m + 1)))
+    w = cum[i]
+    local = np.take_along_axis(w, cols, axis=-1) + h[i][..., None] * partial
+    np.put_along_axis(w, cols, local, axis=-1)
     return w
 
 
-def _subdivide(breaks: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    guard = 1e-14 * max(1.0, abs(lo), abs(hi))
-    inner = breaks[(breaks > lo + guard) & (breaks < hi - guard)]
-    return np.concatenate(([lo], inner, [hi]))
+def window_rule(side: GridSide, lo, hi, degree: int):
+    """Quadrature points and weights of the windows ``[lo, hi]`` on a side.
 
-
-@lru_cache(maxsize=None)
-def _cc_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # Chebyshev-extrema interpolatory quadrature on [0, 1]
+    Each window is cut at the side's breakpoints strictly inside it, so the
+    interpolant is one polynomial per subpiece, and each subpiece carries the
+    Chebyshev-extrema interpolatory rule of the given degree. The first and
+    last point of a subpiece are its cut points exactly, so no point falls
+    outside its window. Windows with ``hi <= lo`` are empty. Returns flat
+    arrays ``(window index, points, weights)``, ordered by window and then
+    by point.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    live = np.nonzero(hi > lo)[0]
+    lo, hi = lo[live], hi[live]
+    side.piece_of(np.concatenate([lo, hi]))  # both ends must lie on the side
+    b = side.breakpoints
+    # a breakpoint within roundoff of a window end makes no sliver subpiece
+    guard = (1e-14 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))[:, None]
+    inner = (b > lo[:, None] + guard) & (b < hi[:, None] - guard)
+    cuts = np.column_stack([lo, np.where(inner, b, np.nan), hi])
+    keep = ~np.isnan(cuts)
+    owner = np.broadcast_to(live[:, None], cuts.shape)[keep]
+    cuts = cuts[keep]
+    same = owner[1:] == owner[:-1]
+    u0, u1, owner = cuts[:-1][same], cuts[1:][same], owner[:-1][same]
     table = _table(CHEBYSHEV, degree)
-    return table.family.nodes, table.quad
+    width = (u1 - u0)[:, None]
+    points = u0[:, None] + width * table.family.nodes
+    points[:, 0], points[:, -1] = u0, u1
+    return np.repeat(owner, degree + 1), points.ravel(), (width * table.quad).ravel()
 
 
 def kernel_quadrature(
@@ -281,34 +276,21 @@ def kernel_quadrature(
 ) -> np.ndarray:
     """Weights realizing ``int_lo^hi K(s) v(s) ds`` over the side's nodes.
 
-    ``kernel(s)`` returns a (p, q) matrix (scalars are promoted); the result
-    has shape (p, q, n). The window is subdivided at the side's piece
-    breakpoints so the interpolant is a single polynomial per subpiece, and
-    each subpiece uses Chebyshev-extrema quadrature of the given degree
-    (default ``max(M, 5)``).
+    ``kernel`` is elementwise: an array of points ``s`` in, an array of
+    shape ``s.shape + (p, q)`` out. The result has shape (p, q, n). The
+    window is split by :func:`window_rule` with the given degree (default
+    ``max(M, 5)``).
     """
-    b = side.breakpoints
-    tol = 1e-12 * max(1.0, abs(b[0]), abs(b[-1]))
-    if lo < b[0] - tol or hi > b[-1] + tol:
-        raise ValueError(
-            f"kernel window [{lo!r}, {hi!r}] outside [{b[0]!r}, {b[-1]!r}]"
-        )
-    probe = np.atleast_2d(np.asarray(kernel(float(lo)), dtype=float))
-    p, q = probe.shape
-    out = np.zeros((p, q, side.n))
-    if hi <= lo:
-        return out
     if degree is None:
         degree = max(side.family.degree, 5)
-    qx, qw = _cc_rule(degree)
-    cuts = _subdivide(b, lo, hi)
-    for u0, u1 in zip(cuts[:-1], cuts[1:]):
-        width = u1 - u0
-        if width <= 0.0:
-            continue
-        pts = u0 + width * qx
-        for s, w in zip(pts, qw):
-            kmat = np.atleast_2d(np.asarray(kernel(float(s)), dtype=float))
-            cols, wl = prolong_pairs(side, float(s))
-            out[:, :, cols] += (width * w) * kmat[:, :, None] * wl[None, None, :]
-    return out
+    _, s, w = window_rule(side, lo, hi, degree)
+    k = np.asarray(kernel(s), dtype=float)
+    if k.ndim != 3 or k.shape[0] != s.size:
+        raise ValueError(
+            f"kernel returned shape {k.shape} for {s.size} points; kernels are "
+            "elementwise: an array of points in, shape + (p, q) out"
+        )
+    cols, lw = prolong_pairs(side, s)
+    out = np.zeros((side.n,) + k.shape[1:])
+    np.add.at(out, cols, (w[:, None, None] * k)[:, None] * lw[..., None, None])
+    return np.moveaxis(out, 0, -1)

@@ -160,12 +160,8 @@ class GridSide:
     def hi(self) -> float:
         return float(self.breakpoints[-1])
 
-    def piece_cols(self, i: int) -> np.ndarray:
-        m = self.family.degree
-        return np.arange(i * m, i * m + m + 1)
-
-    def piece_of(self, t: float, tol: float | None = None) -> int:
-        """Index of the piece containing ``t``.
+    def piece_of(self, t, tol: float | None = None):
+        """Index of the piece containing ``t`` (elementwise for arrays).
 
         Evaluation exactly at a breakpoint uses the left piece (the right
         piece for the interval start); ``t`` may sit outside the interval by
@@ -174,12 +170,11 @@ class GridSide:
         b = self.breakpoints
         if tol is None:
             tol = COINCIDENCE_RTOL * max(1.0, abs(b[0]), abs(b[-1]))
-        if t < b[0] - tol or t > b[-1] + tol:
+        if np.any((t < b[0] - tol) | (t > b[-1] + tol)):
             raise ValueError(
                 f"{t!r} outside the {self.label} interval [{b[0]!r}, {b[-1]!r}]"
             )
-        i = int(np.searchsorted(b, t, side="left")) - 1
-        return min(max(i, 0), self.P - 1)
+        return np.clip(np.searchsorted(b, t, side="left") - 1, 0, self.P - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +336,3 @@ def _cached_family(kind: str, degree: int) -> NodeFamily:
 def chebyshev_family(degree: int) -> NodeFamily:
     """Cached Chebyshev-extrema family (the default for collocation)."""
     return _cached_family(CHEBYSHEV, degree)
-
-
-def uniform_family(degree: int) -> NodeFamily:
-    return _cached_family(UNIFORM, degree)

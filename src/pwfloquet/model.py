@@ -6,8 +6,11 @@ components second. Pure delay differential equations have ``d_x = 0`` and
 pure renewal equations have ``d_y = 0``.
 
 Coefficients are callbacks, not sampled matrices, so the monodromy module can
-collocate them on its own grid independently of the solution mesh. Equation
-and solution objects are immutable; callbacks must be pure and re-entrant.
+collocate them on its own grid independently of the solution mesh. Every
+callback is elementwise: it receives arrays of times and returns one result
+per element (a ``(p, q)`` matrix for coefficients and kernels, a state vector
+for solutions), stacked along the trailing axes. Equation and solution
+objects are immutable; callbacks must be pure and re-entrant.
 """
 
 from __future__ import annotations
@@ -44,15 +47,22 @@ BUILTIN_NAMES = ("logistic", "tent", "quadratic-re", "plant", "plant-coupled")
 
 
 def _as_matrix_callback(c):
+    """A constant ``(p, q)`` matrix becomes an elementwise callback."""
     if callable(c):
         return c
     mat = np.atleast_2d(np.asarray(c, dtype=float))
-    return lambda *args, _m=mat: _m
+    return lambda *args: np.broadcast_to(
+        mat, np.broadcast_shapes(*map(np.shape, args)) + mat.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteTerm:
-    """Contribution ``coeff(t) @ v_source(t - delay)`` to the target block."""
+    """Contribution ``coeff(t) @ v_source(t - delay)`` to the target block.
+
+    ``coeff`` is a constant ``(p, q)`` matrix or an elementwise callback:
+    an array of times of any shape in, an array of shape ``t.shape + (p, q)``
+    out (a scalar time gives one ``(p, q)`` matrix).
+    """
 
     target: str  # "x" or "y"
     source: str
@@ -65,7 +75,11 @@ class DiscreteTerm:
 
 @dataclass(frozen=True, eq=False)
 class DistributedTerm:
-    """Contribution ``int_a^b kernel(t, th) @ v_source(t + th) dth``."""
+    """Contribution ``int_a^b kernel(t, th) @ v_source(t + th) dth``.
+
+    ``kernel`` is a constant ``(p, q)`` matrix or an elementwise callback:
+    arrays ``t`` and ``th`` of one shape in, shape ``t.shape + (p, q)`` out.
+    """
 
     target: str
     source: str
@@ -74,11 +88,7 @@ class DistributedTerm:
     kernel: Callable[[float, float], np.ndarray]
 
     def __post_init__(self):
-        k = self.kernel
-        if not callable(k):
-            mat = np.atleast_2d(np.asarray(k, dtype=float))
-            k = lambda t, th, _m=mat: _m
-        object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "kernel", _as_matrix_callback(self.kernel))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +294,6 @@ class Builtin:
     problem: NonlinearProblem | None = None
     linear: LinearPeriodicEquation | None = None
     exact: ExactSolution | None = None
-    period_guess: float | None = None
-    profile_guess: Callable | None = None  # s in [0, 1] -> state
     make_guess: Callable | None = None
 
 
@@ -307,7 +315,10 @@ def _solution_access(solution):
 def linearize(problem: NonlinearProblem, solution) -> LinearPeriodicEquation:
     """Linearize a nonlinear problem around a periodic solution.
 
-    The smoothness breakpoints of the result are the solution's mesh
+    ``solution`` is a :class:`PiecewiseSolution`, an :class:`ExactSolution`
+    or a pair ``(callable, omega)``; the callable is elementwise like the
+    others (times of shape ``t.shape`` in, states of shape ``t.shape + (d,)``
+    out). The smoothness breakpoints of the result are the solution's mesh
     breakpoints (a closed-form solution contributes none).
     """
     if problem.linearize_terms is None:
@@ -379,10 +390,10 @@ def _logistic(r: float = 1.6) -> Builtin:
 
     def lin_terms(ev, omega):
         def on_current(t):
-            return np.array([[r * (1.0 - ev(t - 1.0)[0])]])
+            return (r * (1.0 - ev(t - 1.0)[..., 0]))[..., None, None]
 
         def on_delayed(t):
-            return np.array([[-r * ev(t)[0]]])
+            return (-r * ev(t)[..., 0])[..., None, None]
 
         return (
             (
@@ -396,10 +407,6 @@ def _logistic(r: float = 1.6) -> Builtin:
         name="logistic", kind="dde", d_x=0, d_y=1, tau=tau,
         rhs=rhs, linearize_terms=lin_terms, params={"r": r},
     )
-    rc = np.pi / 2
-    amp = min(1.3, 1.3 * np.sqrt(max(r - rc, 0.02)))
-    period = 4.0 + 1.1 * max(r - rc, 0.0)
-    profile = lambda s: np.atleast_1d(1.0 + amp * np.sin(2 * np.pi * np.asarray(s)))
 
     def make_guess():
         # a plain sinusoid guess can collapse onto the unstable equilibrium,
@@ -407,8 +414,7 @@ def _logistic(r: float = 1.6) -> Builtin:
         return integrate_orbit_guess(problem, np.array([1.15]), t_settle=250.0)
 
     return Builtin(
-        name="logistic", params={"r": r}, problem=problem,
-        period_guess=period, profile_guess=profile, make_guess=make_guess,
+        name="logistic", params={"r": r}, problem=problem, make_guess=make_guess,
     )
 
 
@@ -420,7 +426,7 @@ def _tent() -> Builtin:
     """
 
     def coeff(t):
-        return np.array([[1.0 - abs(np.mod(t, 2.0) - 1.0)]])
+        return (1.0 - np.abs(np.mod(t, 2.0) - 1.0))[..., None, None]
 
     linear = LinearPeriodicEquation(
         kind="dde", d_x=0, d_y=1, omega=2.0, tau=1.0,
@@ -462,7 +468,7 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
 
     def lin_terms(ev, omega):
         def kernel(t, th):
-            return np.array([[0.5 * gamma * (1.0 - 2.0 * ev(t + th)[0])]])
+            return (0.5 * gamma * (1.0 - 2.0 * ev(t + th)[..., 0]))[..., None, None]
 
         return ((), (DistributedTerm("x", "x", -3.0, -1.0, kernel),))
 
@@ -474,7 +480,6 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
     profile = lambda s: xbar(4.0 * np.asarray(s))
     return Builtin(
         name="quadratic-re", params={"gamma": gamma}, problem=problem, exact=exact,
-        period_guess=4.0, profile_guess=profile,
         make_guess=lambda: (profile, 4.0),
     )
 
@@ -500,8 +505,10 @@ def _plant(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
 
     def lin_terms(ev, omega):
         def on_current(t):
-            vbar = ev(t)[0]
-            return np.array([[1.0 - vbar * vbar, -1.0], [r, -r * b]])
+            vbar = ev(t)[..., 0]
+            one = np.ones_like(vbar)
+            return np.stack([np.stack([1.0 - vbar * vbar, -one], axis=-1),
+                             np.stack([r * one, -r * b * one], axis=-1)], axis=-2)
 
         delayed = np.array([[eta, 0.0], [0.0, 0.0]])
         return (
@@ -518,20 +525,12 @@ def _plant(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
         params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
     )
 
-    def profile(s):
-        s = np.asarray(s, dtype=float)
-        return np.stack(
-            [v0 + 1.8 * np.sin(2 * np.pi * s), w0 + 0.4 * np.sin(2 * np.pi * s - 1.2)],
-            axis=-1,
-        )
-
     def make_guess():
         start = np.array([v0 + 0.5, w0])
         return integrate_orbit_guess(problem, start, t_settle=max(600.0, 12 * tau))
 
     return Builtin(
-        name="plant", params=problem.params, problem=problem,
-        period_guess=2.0 * tau, profile_guess=profile, make_guess=make_guess,
+        name="plant", params=problem.params, problem=problem, make_guess=make_guess,
     )
 
 
@@ -561,8 +560,8 @@ def _plant_coupled(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
     def lin_terms(ev, omega):
         # ev yields the coupled layout (w, v)
         def on_current(t):
-            vbar = ev(t)[1]
-            return np.array([[1.0 - vbar * vbar]])
+            vbar = ev(t)[..., 1]
+            return (1.0 - vbar * vbar)[..., None, None]
 
         return (
             (
@@ -582,8 +581,7 @@ def _plant_coupled(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
         rhs=rhs, linearize_terms=lin_terms,
         params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
     )
-    return Builtin(name="plant-coupled", params=problem.params, problem=problem,
-                   period_guess=2.0 * tau)
+    return Builtin(name="plant-coupled", params=problem.params, problem=problem)
 
 
 def coupled_view_of_plant(solution: PiecewiseSolution) -> PiecewiseSolution:

@@ -20,27 +20,28 @@ reconstructed from ``(Psi, Z)``: a differential block is reconstructed as
 ``Z`` on ``(0, omega]``; both fall back to the history interpolant for
 ``s <= 0``. Eigenvalues of ``T`` approximate the Floquet multipliers.
 
-Row assembly is embarrassingly parallel in principle (each row only reads
-immutable inputs); this implementation assembles sequentially.
+Each term is assembled over all its points at once: the reconstruction
+weights of all evaluation (or quadrature) points come from batched calls,
+and each row sums the weights of its points, scaled by their coefficients.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .interp import _cc_rule, _subdivide, integral_weights, prolong_pairs
+from .interp import integral_weights, prolong_pairs, window_rule
 from .mesh import (
     CollocationGrid,
-    GridSide,
     Mesh,
     NodeFamily,
     build_grid,
 )
-from .model import LinearPeriodicEquation
+from .model import DiscreteTerm, LinearPeriodicEquation
 
 __all__ = [
     "MonodromyDiscretization",
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 20_000  # guard against runaway problem sizes
+# Dense weight entries built at once during assembly (512 kB). Kept small on
+# purpose: glibc raises its mmap threshold to the size of a freed large block,
+# and the heap then keeps memory through the LU and eigensolve phases (32 MB
+# batches raised the peak RSS of plant M=40 by 30 MB).
+BATCH_ENTRIES = 1 << 16
 
 
 class CoarseDiscretizationError(RuntimeError):
@@ -72,7 +78,6 @@ class MonodromyDiscretization:
     blocks: dict  # A1, A2, B1, B2
     T: np.ndarray
     merged_breakpoints: tuple[float, ...] = ()
-    _eig_cache: list = field(default_factory=list, repr=False)
 
     @property
     def n_hist(self) -> int:
@@ -85,6 +90,10 @@ class MonodromyDiscretization:
     @property
     def dim(self) -> int:
         return self.T.shape[0]
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return _sorted_eig(self.T)
 
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Generalized eigenvalue formulation separating ``(Psi, Z)``.
@@ -158,128 +167,125 @@ def _merge_breakpoints(eq: LinearPeriodicEquation, mesh: Mesh, enforce: str):
 
 
 class _Assembler:
+    """Blocks ``A1, A2, B1, B2`` as (node, component, node, component) arrays."""
+
     def __init__(self, eq: LinearPeriodicEquation, grid: CollocationGrid,
                  quad_degree: int | None):
         self.eq = eq
         self.grid = grid
-        self.d = eq.d
         self.quad_degree = quad_degree or max(grid.family.degree, 5)
         nh, nf, d = grid.history.n, grid.forward.n, eq.d
-        self.A1 = np.zeros((d * nf, d * nh))
-        self.A2 = np.zeros((d * nf, d * nf))
-        self.B1 = np.zeros((d * nh, d * nh))
-        self.B2 = np.zeros((d * nh, d * nf))
-        # index of the history node at theta = 0
-        self.hist0 = grid.history.n - 1
+        self.A1 = np.zeros((nf, d, nh, d))
+        self.A2 = np.zeros((nf, d, nf, d))
+        self.B1 = np.zeros((nh, d, nh, d))
+        self.B2 = np.zeros((nh, d, nf, d))
+        # points per batch of dense weight rows, bounding their memory
+        self.batch = max(1, BATCH_ENTRIES // (nh + nf))
 
-    def eval_pairs(self, source: str, s: float):
-        """Weights reconstructing the source block's state at time ``s``.
+    def evaluate(self, term, fn, *args) -> np.ndarray:
+        """Call a coefficient or kernel callback and check its shape."""
+        eq = self.eq
+        out = np.asarray(fn(*args), dtype=float)
+        want = np.shape(args[0]) + (eq.block_dim(term.target), eq.block_dim(term.source))
+        if out.shape != want:
+            raise ValueError(
+                f"{_describe(term)} returned shape {out.shape}, expected {want}: "
+                "callbacks are elementwise (arrays of times in, shape + (p, q) out)"
+            )
+        return out
 
-        Returns (history pairs, forward pairs, forward dense row), any of
-        which may be ``None``.
+    def weights(self, source: str, side: str, s: np.ndarray):
+        """Dense rows reconstructing the source block's state at times ``s``.
+
+        Returns (history rows, forward rows); either may be ``None``.
         """
-        grid, eq = self.grid, self.eq
-        if s <= 0.0:
-            return prolong_pairs(grid.history, s), None, None
-        if source == "y":
-            cols0 = np.array([self.hist0])
-            w0 = np.array([1.0])
-            return (cols0, w0), None, integral_weights(grid.forward, s)
-        return None, prolong_pairs(grid.forward, s), None
+        grid = self.grid
+        if side == "history":
+            return _dense(grid.history.n, *prolong_pairs(grid.history, s)), None
+        if source == "x":
+            return None, _dense(grid.forward.n, *prolong_pairs(grid.forward, s))
+        # differential block: Psi(0) + int_0^s Z
+        psi0 = np.zeros((s.size, grid.history.n))
+        psi0[:, -1] = 1.0
+        return psi0, integral_weights(grid.forward, s)
 
-    def add_eval(self, hist_mat, fwd_mat, row0: int, coeff: np.ndarray,
-                 source: str, s: float):
-        eq, d = self.eq, self.d
-        off = eq.block_offset(source)
-        p, q = coeff.shape
-        hp, fp, fdense = self.eval_pairs(source, s)
-        for i in range(p):
-            row = row0 + i
-            if hp is not None:
-                cols, w = hp
-                for j in range(q):
-                    hist_mat[row, cols * d + off + j] += coeff[i, j] * w
-            if fp is not None:
-                cols, w = fp
-                for j in range(q):
-                    fwd_mat[row, cols * d + off + j] += coeff[i, j] * w
-            if fdense is not None:
-                for j in range(q):
-                    fwd_mat[row, off + j :: d] += coeff[i, j] * fdense
-
-    def add_distributed(self, hist_mat, fwd_mat, row0: int, t: float, term):
-        """Kernel integral over ``[t + lower, t + upper]`` in absolute time,
-        split where the reconstruction changes form."""
-        eq, grid, d = self.eq, self.grid, self.d
-        lo, hi = t + term.lower, t + term.upper
-        off = eq.block_offset(term.source)
-        qx, qw = _cc_rule(self.quad_degree)
-
-        def quad_window(side: GridSide, a: float, b: float, into, use_integral: bool):
-            if b - a <= 0.0:
-                return
-            cuts = _subdivide(side.breakpoints, a, b)
-            psi0_accum = None
-            for u0, u1 in zip(cuts[:-1], cuts[1:]):
-                width = u1 - u0
-                if width <= 0.0:
+    def add(self, hist_mat, fwd_mat, target, source, owner, coeff, side, s):
+        """Add ``sum_k coeff[k] (x) weights(s[k])`` to the target rows of
+        node ``owner[k]`` (nondecreasing in ``k``)."""
+        eq = self.eq
+        ot, os = eq.block_offset(target), eq.block_offset(source)
+        p, q = coeff.shape[1:]
+        # batches of whole rows: each row sums its points in order, in one pass
+        starts = np.unique(np.searchsorted(owner, owner[::self.batch]))
+        for b0, b1 in zip(starts, np.append(starts[1:], owner.size)):
+            b = slice(b0, b1)
+            k0, k1 = owner[b0], owner[b1 - 1] + 1
+            for mat, w in zip((hist_mat, fwd_mat), self.weights(source, side, s[b])):
+                # only the columns in use are written, so pages of the blocks
+                # that stay zero are never touched
+                used = np.flatnonzero(w.any(axis=0)) if w is not None else []
+                if len(used) == 0:
                     continue
-                pts = u0 + width * qx
-                for s, w in zip(pts, qw):
-                    kmat = np.atleast_2d(np.asarray(term.kernel(t, float(s) - t),
-                                                    dtype=float))
-                    if use_integral:
-                        iw = integral_weights(side, float(s))
-                        for i in range(kmat.shape[0]):
-                            for j in range(kmat.shape[1]):
-                                into[row0 + i, off + j :: d] += (
-                                    width * w * kmat[i, j] * iw
-                                )
-                        if psi0_accum is None:
-                            psi0_accum = np.zeros_like(kmat)
-                        psi0_accum = psi0_accum + width * w * kmat
-                    else:
-                        cols, wl = prolong_pairs(side, float(s))
-                        for i in range(kmat.shape[0]):
-                            for j in range(kmat.shape[1]):
-                                into[row0 + i, cols * d + off + j] += (
-                                    width * w * kmat[i, j] * wl
-                                )
-            if psi0_accum is not None:
-                # Psi(0) enters the differential reconstruction on s > 0
-                for i in range(psi0_accum.shape[0]):
-                    for j in range(psi0_accum.shape[1]):
-                        hist_mat[row0 + i, self.hist0 * d + off + j] += psi0_accum[i, j]
+                cols = slice(used[0], used[-1] + 1)
+                w = w[:, cols]
+                # flat (row, column) target of every weight: bincount sums
+                # the points of each row
+                n = w.shape[1]
+                flat = ((owner[b] - k0)[:, None] * n + np.arange(n)).ravel()
+                for i, j in np.ndindex(p, q):
+                    mat[k0:k1, ot + i, cols, os + j] += np.bincount(
+                        flat, (coeff[b, i, j, None] * w).ravel(),
+                        minlength=(k1 - k0) * n).reshape(k1 - k0, n)
 
-        split = min(max(0.0, lo), hi)
-        quad_window(grid.history, lo, min(hi, 0.0), hist_mat, use_integral=False)
-        if hi > 0.0:
-            if term.source == "y":
-                quad_window(grid.forward, split, hi, fwd_mat, use_integral=True)
-            else:
-                quad_window(grid.forward, split, hi, fwd_mat, use_integral=False)
+    def add_at_times(self, hist_mat, fwd_mat, target, source, coeff, s):
+        """The source state at time ``s[k]`` feeds the target rows of node ``k``."""
+        past = s <= 0.0
+        for side, sel in (("history", past), ("forward", ~past)):
+            rows = np.nonzero(sel)[0]
+            self.add(hist_mat, fwd_mat, target, source, rows, coeff[rows], side, s[rows])
 
     def run(self):
-        eq, grid, d = self.eq, self.grid, self.d
-        # fixed-point rows: one per forward node and target component
-        for k, t in enumerate(grid.forward.nodes):
-            t = float(t)
-            for term in eq.discrete:
-                coeff = np.atleast_2d(np.asarray(term.coeff(t), dtype=float))
-                row0 = k * d + eq.block_offset(term.target)
-                self.add_eval(self.A1, self.A2, row0, coeff, term.source, t - term.delay)
-            for term in eq.distributed:
-                row0 = k * d + eq.block_offset(term.target)
-                self.add_distributed(self.A1, self.A2, row0, t, term)
+        eq, grid = self.eq, self.grid
+        t = grid.forward.nodes
+        # fixed-point rows: the equation collocated at every forward node
+        for term in eq.discrete:
+            coeff = self.evaluate(term, term.coeff, t)
+            self.add_at_times(self.A1, self.A2, term.target, term.source, coeff,
+                              t - term.delay)
+        for term in eq.distributed:
+            # kernel integral over [t + lower, t + upper], split at 0 where
+            # the reconstruction changes form
+            lo, hi = t + term.lower, t + term.upper
+            for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
+                               (grid.forward, np.maximum(lo, 0.0), hi)):
+                owner, s, w = window_rule(side, a, b, self.quad_degree)
+                kern = self.evaluate(term, term.kernel, t[owner], s - t[owner])
+                self.add(self.A1, self.A2, term.target, term.source, owner,
+                         w[:, None, None] * kern, side.label, s)
         # end-state rows: the reconstructed state at omega + theta
-        for m, theta in enumerate(grid.history.nodes):
-            s = grid.omega + float(theta)
-            for block, dim in (("x", eq.d_x), ("y", eq.d_y)):
-                if dim == 0:
-                    continue
-                row0 = m * d + eq.block_offset(block)
-                self.add_eval(self.B1, self.B2, row0, np.eye(dim), block, s)
-        return self.A1, self.A2, self.B1, self.B2
+        s = grid.omega + grid.history.nodes
+        for block in ("x", "y"):
+            dim = eq.block_dim(block)
+            if dim:
+                coeff = np.broadcast_to(np.eye(dim), (s.size, dim, dim))
+                self.add_at_times(self.B1, self.B2, block, block, coeff, s)
+        return tuple(m.reshape(m.shape[0] * m.shape[1], -1)
+                     for m in (self.A1, self.A2, self.B1, self.B2))
+
+
+def _dense(n: int, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense rows of ``n`` columns from (columns, weights) pairs."""
+    out = np.zeros((cols.shape[0], n))
+    np.put_along_axis(out, cols, w, axis=1)
+    return out
+
+
+def _describe(term) -> str:
+    if isinstance(term, DiscreteTerm):
+        return (f"coefficient of the discrete term {term.source} -> {term.target} "
+                f"(delay {term.delay!r})")
+    return (f"kernel of the distributed term {term.source} -> {term.target} "
+            f"on [{term.lower!r}, {term.upper!r}]")
 
 
 def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
@@ -335,16 +341,11 @@ def _rcond(system: np.ndarray, lu: np.ndarray) -> float:
     return float(rcond) if info == 0 else 0.0
 
 
-def _eig_sorted(matrix: np.ndarray):
+def _sorted_eig(matrix: np.ndarray):
+    """Eigenpairs sorted by decreasing modulus, then by angle."""
     vals, vecs = scipy.linalg.eig(matrix)
     order = np.lexsort((np.angle(vals), -np.abs(vals)))
     return vals[order], vecs[:, order]
-
-
-def _sorted_eig(disc: MonodromyDiscretization):
-    if not disc._eig_cache:
-        disc._eig_cache.append(_eig_sorted(disc.T))
-    return disc._eig_cache[0]
 
 
 def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
@@ -360,7 +361,7 @@ def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
     ``tol_discard`` are flagged as numerically spurious but kept.
     """
     if mode == "direct":
-        vals = _sorted_eig(disc)[0]
+        vals = disc._eig[0]
     elif mode == "pencil":
         p, _ = disc.pencil()
         nh = disc.T.shape[0]
@@ -375,7 +376,7 @@ def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
             raise CoarseDiscretizationError(
                 "pencil reduction failed: discretization too coarse"
             ) from exc
-        vals = _eig_sorted(t_mat)[0]
+        vals = _sorted_eig(t_mat)[0]
     else:
         raise ValueError(f"unknown multiplier mode {mode!r}")
 
@@ -408,7 +409,7 @@ def eigenfunction(disc: MonodromyDiscretization, index: int):
     """
     from .interp import NodalFunction
 
-    vals, vecs = _sorted_eig(disc)
+    vals, vecs = disc._eig
     if not (0 <= index < vals.size):
         raise IndexError(f"eigenvalue index {index} out of range 0..{vals.size - 1}")
     v = vecs[:, index].reshape(disc.n_hist, disc.equation.d)

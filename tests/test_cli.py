@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pwfloquet.cli import main
 from pwfloquet.model import data_path, read_solution
@@ -139,3 +140,34 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert run(["solve", "--config", "/does/not/exist.ini"]) == 3
+
+
+class TestExitCodes:
+    """Bad input exits 3 and a failed computation exits 2, without a traceback."""
+
+    @pytest.fixture
+    def malformed_mesh(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_text("0.0\nnot-a-number\n1.0\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["multipliers", "--problem", "tent", "--mesh", "uniform:0"],
+        ["multipliers", "--problem", "tent", "--mesh", "uniform:1", "--enforce", "strict"],
+        ["multipliers", "--problem", "tent", "--mesh", "uniform:3000", "-M", "5"],
+    ])
+    def test_bad_discretization_is_config_error(self, argv, capsys):
+        assert run(argv) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_malformed_mesh_file_is_config_error(self, malformed_mesh):
+        assert run(["multipliers", "--problem", "tent", "--mesh",
+                    f"file:{malformed_mesh}"]) == 3
+
+    def test_malformed_mesh_info_is_config_error(self, malformed_mesh):
+        assert run(["mesh-info", str(malformed_mesh)]) == 3
+
+    def test_failed_orbit_guess_is_convergence_failure(self, capsys):
+        # below the Hopf point the orbit guess decays to the equilibrium
+        assert run(["multipliers", "--problem", "logistic", "--r", "1.0"]) == 2
+        assert "convergence failure" in capsys.readouterr().err

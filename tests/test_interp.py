@@ -189,13 +189,13 @@ class TestKernelQuadrature:
 
     def test_identity_kernel_constant(self):
         h = self.history_side()
-        W = kernel_quadrature(h, -3.0, -1.0, lambda s: 1.0)
+        W = kernel_quadrature(h, -3.0, -1.0, lambda s: np.ones(np.shape(s) + (1, 1)))
         v = restrict(lambda t: 1.0, h)
         assert W[0, 0] @ v.values[:, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_kernel_linear(self):
         h = self.history_side()
-        W = kernel_quadrature(h, -1.0, 0.0, lambda s: 1.0)
+        W = kernel_quadrature(h, -1.0, 0.0, lambda s: np.ones(np.shape(s) + (1, 1)))
         v = restrict(lambda t: t, h)
         assert W[0, 0] @ v.values[:, 0] == pytest.approx(-0.5, abs=1e-13)
 
@@ -207,7 +207,7 @@ class TestKernelQuadrature:
         xbar = lambda t: mean + amp * np.sin(0.5 * np.pi * t)
         kern = lambda s: 0.5 * gamma * (1.0 - 2.0 * xbar(s))
         h = self.history_side()
-        W = kernel_quadrature(h, -3.0, -1.0, kern)
+        W = kernel_quadrature(h, -3.0, -1.0, lambda s: kern(s)[..., None, None])
         v = restrict(lambda t: 1.0, h)
         got = W[0, 0] @ v.values[:, 0]
         expect, _ = quad(kern, -3.0, -1.0, epsabs=1e-13, epsrel=1e-13)
@@ -215,7 +215,9 @@ class TestKernelQuadrature:
 
     def test_matrix_kernel_shape(self):
         h = self.history_side()
-        W = kernel_quadrature(h, -2.0, -1.0, lambda s: np.array([[1.0, s], [0.0, 2.0]]))
+        W = kernel_quadrature(h, -2.0, -1.0, lambda s: np.stack(
+            [np.stack([np.ones_like(s), s], axis=-1),
+             np.stack([np.zeros_like(s), np.full_like(s, 2.0)], axis=-1)], axis=-2))
         assert W.shape == (2, 2, h.n)
 
     def test_window_outside_rejected(self):
@@ -233,7 +235,8 @@ class TestLinearity:
         for build in (
             lambda v: prolong_eval(NodalFunction(side, v), 1.234)[0],
             lambda v: integral_weights(side, 1.6) @ v,
-            lambda v: kernel_quadrature(side, 0.2, 1.9, lambda s: np.cos(s))[0, 0] @ v,
+            lambda v: kernel_quadrature(
+                side, 0.2, 1.9, lambda s: np.cos(s)[..., None, None])[0, 0] @ v,
         ):
             assert build(al * a + be * b) == pytest.approx(
                 al * build(a) + be * build(b), rel=1e-12, abs=1e-12
@@ -277,3 +280,62 @@ class TestDerivativeMatrix:
         xs = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
         d = derivative_matrix_at(tab, xs) @ vals
         assert np.allclose(d, poly.deriv()(xs), atol=1e-12)
+
+
+@st.composite
+def sides(draw, max_degree=20):
+    """A forward side on a random mesh of [0, 3] with a random degree."""
+    m = draw(st.integers(1, max_degree))
+    inner = draw(st.lists(st.floats(0.05, 2.95), max_size=5, unique=True))
+    pts = np.unique(np.round([0.0, 3.0] + inner, 3))
+    kind = draw(st.sampled_from([CHEBYSHEV, UNIFORM]))
+    return forward(pts, reference_nodes(kind, m))
+
+
+def points_on(data, side, size=12):
+    """Random points of the side plus some of its nodes and breakpoints."""
+    ts = data.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=size))
+    picks = data.draw(st.lists(st.integers(0, side.n - 1), max_size=4))
+    return np.concatenate([ts, side.nodes[picks], side.breakpoints])
+
+
+class TestBatchedWeights:
+    @given(data=st.data(), side=sides())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_rows_equal_scalar_calls(self, data, side):
+        ts = points_on(data, side)
+        cols, w = prolong_pairs(side, ts)
+        iw = integral_weights(side, ts)
+        assert cols.shape == w.shape == (ts.size, side.family.degree + 1)
+        assert iw.shape == (ts.size, side.n)
+        for k, t in enumerate(ts):
+            c1, w1 = prolong_pairs(side, float(t))
+            assert np.array_equal(cols[k], c1) and np.array_equal(w[k], w1)
+            assert np.array_equal(iw[k], integral_weights(side, float(t)))
+
+    @given(data=st.data(), side=sides())
+    @settings(max_examples=60, deadline=None)
+    def test_interpolation_rows_sum_to_one(self, data, side):
+        _, w = prolong_pairs(side, points_on(data, side))
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @given(side=sides())
+    @settings(max_examples=40, deadline=None)
+    def test_node_hits_are_unit_rows(self, side):
+        cols, w = prolong_pairs(side, side.nodes)
+        assert np.array_equal(np.sort(w, axis=1)[:, -1], np.ones(side.n))
+        assert np.count_nonzero(w) == side.n
+        vals = np.random.default_rng(5).normal(size=side.n)
+        assert np.array_equal(np.einsum("kj,kj->k", w, vals[cols]), vals)
+
+    @given(data=st.data(), side=sides())
+    @settings(max_examples=60, deadline=None)
+    def test_integral_exact_up_to_degree(self, data, side):
+        m = side.family.degree
+        coeffs = data.draw(st.lists(st.floats(-1, 1), min_size=m + 1, max_size=m + 1))
+        # scaled to [0, 1] so high degrees stay well conditioned
+        poly = np.polynomial.Polynomial(coeffs, domain=[0.0, 3.0], window=[0.0, 1.0])
+        ts = points_on(data, side)
+        got = integral_weights(side, ts) @ poly(side.nodes)
+        want = poly.integ()(ts) - poly.integ()(0.0)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from oracles import rk4_method_of_steps
 from pwfloquet.interp import restrict
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
+    DistributedTerm,
     LinearPeriodicEquation,
     builtin,
     linearize,
@@ -23,7 +26,8 @@ from pwfloquet.monodromy import (
 def scalar_dde(coeffs, omega, tau, breakpoints=()):
     """Scalar differential equation from (delay, coefficient) pairs."""
     terms = tuple(
-        DiscreteTerm("y", "y", tk, (lambda c: (lambda t: np.array([[c(t) if callable(c) else c]])))(ck))
+        DiscreteTerm("y", "y", tk, (lambda c: (lambda t: np.asarray(c(t))[..., None, None]))(ck)
+                     if callable(ck) else np.array([[ck]]))
         for tk, ck in coeffs
     )
     return LinearPeriodicEquation(
@@ -269,8 +273,8 @@ class TestDistributedSplitting:
     def test_coupled_assembly_runs(self):
         # exercises history/forward kernel splitting and the neutral term
         b = builtin("plant-coupled", tau=2.0)
-        sol = lambda t: np.array([0.3 + 0.1 * np.sin(np.pi * t / 3),
-                                  -1.0 + 0.2 * np.cos(np.pi * t / 3)])
+        sol = lambda t: np.stack([0.3 + 0.1 * np.sin(np.pi * t / 3),
+                                  -1.0 + 0.2 * np.cos(np.pi * t / 3)], axis=-1)
         eq = linearize(b.problem, (sol, 6.0))
         disc = assemble(eq, Mesh(np.linspace(0, 6, 7)), chebyshev_family(6))
         ms = multipliers(disc)
@@ -294,3 +298,66 @@ class TestDistributedSplitting:
             -3.0, -1.0, epsabs=1e-12, epsrel=1e-12,
         )
         assert got == pytest.approx(expect, abs=1e-9)
+
+
+def _causal_case(name, mesh_pts, M):
+    """Discretization of a builtin; the plant cases use the shipped orbit
+    and mesh, the others ``mesh_pts`` on [0, 1] scaled to the period."""
+    from pwfloquet.model import coupled_view_of_plant, data_path, read_solution
+
+    if name in ("plant", "plant-coupled"):
+        sol = read_solution(data_path("plant_solution.sol"))
+        b = builtin(name)
+        eq = linearize(b.problem, sol if name == "plant" else coupled_view_of_plant(sol))
+        return assemble(eq, sol.mesh, chebyshev_family(M))
+    if name == "tent":
+        eq, omega = builtin("tent").linear, 2.0
+    elif name == "quadratic-re":
+        b = builtin("quadratic-re", gamma=4.0)
+        eq, omega = linearize(b.problem, b.exact), 4.0
+    else:
+        omega = 4.02
+        sol = sample_solution(
+            lambda t: np.atleast_1d(1.0 + 0.39 * np.sin(2 * np.pi * t / omega)),
+            omega, Mesh(np.linspace(0, 1, 9)), 3,
+        )
+        eq = linearize(builtin("logistic", r=1.6).problem, sol)
+    mesh = Mesh(omega * np.asarray(mesh_pts))
+    return assemble(eq, mesh, chebyshev_family(M), enforce="ignore")
+
+
+class TestCausality:
+    """Z at a forward node depends only on Z up to the end of that node's
+    piece, so A2 has no entry right of the row's piece, exactly."""
+
+    @pytest.mark.parametrize(
+        "name", ["tent", "quadratic-re", "plant", "logistic", "plant-coupled"])
+    @given(inner=st.lists(st.floats(0.02, 0.98), max_size=5, unique=True),
+           M=st.integers(1, 8))
+    @example(inner=[], M=5)
+    @settings(max_examples=8, deadline=None)
+    def test_a2_is_causal(self, name, inner, M):
+        disc = _causal_case(name, np.unique(np.round([0.0, 1.0] + inner, 3)), M)
+        fwd, d = disc.grid.forward, disc.equation.d
+        last = np.array([(fwd.piece_of(t) + 1) * M for t in fwd.nodes])
+        a2 = disc.blocks["A2"].reshape(fwd.n, d, fwd.n, d)
+        beyond = np.arange(fwd.n)[None, :] > last[:, None]
+        assert not np.any(a2.transpose(0, 2, 1, 3)[beyond])
+
+
+class TestCallbackConvention:
+    @pytest.mark.parametrize("term", [
+        DiscreteTerm("y", "y", 1.0, lambda t: np.array([[np.cos(t)]])),
+        DistributedTerm("y", "y", -1.0, 0.0, lambda t, th: np.array([[t * th]])),
+    ])
+    def test_scalar_convention_is_rejected(self, term):
+        # an array of k times makes these return shape (1, 1, k)
+        distributed = isinstance(term, DistributedTerm)
+        eq = LinearPeriodicEquation(
+            kind="dde", d_x=0, d_y=1, omega=1.0, tau=1.0,
+            discrete=() if distributed else (term,),
+            distributed=(term,) if distributed else (),
+        )
+        kind = "distributed" if distributed else "discrete"
+        with pytest.raises(ValueError, match=rf"{kind} term y -> y.*\(1, 1, \d+\).*elementwise"):
+            assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(4))
