@@ -614,6 +614,62 @@ def builtin(name: str, **params) -> Builtin:
 # ---------------------------------------------------------------------------
 
 
+class _StepHistory:
+    """History evaluator ``u`` handed to ``rhs`` by ``integrate_orbit_guess``.
+
+    One object serves the whole integration. ``ts`` holds every history and
+    step time up front, ``ys`` the values accepted so far; the stepper sets
+    ``i`` (the step), ``stage`` (0 to 3) and ``y`` (the stage value) before
+    each ``rhs`` call.
+    """
+
+    def __init__(self, ts, ys, nhist, step, block):
+        self.ts, self.ys, self.nhist, self.block = ts, ys, nhist, block
+        self.starts = ts[nhist - 1:-1]
+        self.offsets = np.array([0.0, step / 2, step / 2, step])
+        self.memo = {}
+
+    def new_block(self, first):
+        self.first = first
+        self.memo.clear()
+
+    def __call__(self, theta):
+        if isinstance(theta, (int, float)):
+            if theta == 0:
+                return self.y
+            key = theta
+        else:
+            theta = np.asarray(theta, dtype=float)
+            if theta.ndim == 0 and theta == 0:
+                return self.y
+            key = (theta.shape, theta.tobytes())
+        if key not in self.memo:
+            self.memo[key] = self._block_values(theta)
+        rows = self.memo[key]
+        if rows is None:
+            t_now = self.starts[self.i] + self.offsets[self.stage]
+            return self._interp(t_now + theta, self.nhist + self.i)
+        return rows[4 * (self.i - self.first) + self.stage]
+
+    def _block_values(self, theta):
+        # values at every stage of the block, or None when some of them need
+        # history accepted after the block start
+        first = self.first
+        t_now = self.starts[first:first + self.block, None] + self.offsets
+        t_abs = np.add.outer(t_now.ravel(), theta)
+        if t_abs.max() > self.starts[first]:
+            return None
+        rows = self._interp(t_abs, self.nhist + first)
+        rows.flags.writeable = False
+        return rows
+
+    def _interp(self, t_abs, n):
+        out = np.empty(np.shape(t_abs) + (self.ys.shape[1],))
+        for c in range(out.shape[-1]):
+            out[..., c] = np.interp(t_abs, self.ts[:n], self.ys[:n, c])
+        return out
+
+
 def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
                           t_settle: float, step: float = 0.01,
                           periods_back: int = 3):
@@ -622,48 +678,65 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     Fixed-step RK4 with linearly interpolated dense history. The period is
     estimated from the last upward crossings of component 0 through its
     late-time average. Returns ``(profile over [0, 1], period estimate)``.
+
+    The history is evaluated by the method of steps. The steps are walked in
+    blocks of ``K = max(1, floor(tau / step) - 1)``. The first request for a
+    ``theta`` in a block interpolates the history known at the block start
+    at all ``4 K`` stage times of the block at once; later stages of the
+    block index that memo. If some of those times lie past the known history
+    (a delay shorter than about ``K`` steps), that ``theta`` is interpolated
+    per call against the steps accepted so far. Both give the value of a
+    per-call linear interpolation of the accepted steps, bit for bit.
+
+    Only a scalar ``theta == 0`` returns the current stage value. The history
+    holds accepted steps only and holds the last one's value beyond it, so
+    a ``theta`` in ``(-step, 0)`` or an array of thetas containing 0 is
+    answered from the accepted steps, not from the current stage.
     """
     if problem.kind != "dde":
         raise ValueError("orbit integration guess only supports differential problems")
     tau = problem.tau
     d = problem.d
+    y = np.asarray(y0, dtype=float)
+    if y.shape != (d,):
+        raise ValueError(
+            f"y0 has shape {y.shape}, expected ({d},) for the {d}-dimensional "
+            f"problem {problem.name!r}"
+        )
     nhist = int(np.ceil(tau / step)) + 1
     nsteps = int(np.ceil(t_settle / step))
     ts = np.empty(nhist + nsteps)
     ys = np.empty((nhist + nsteps, d))
     ts[:nhist] = np.linspace(-tau, 0.0, nhist)
-    ys[:nhist] = y0[None, :]
-
-    filled = nhist
-
-    def u_at(tq, t_now, y_now):
-        # evaluator for the problem rhs; theta = 0 is the current stage value
-        def u(theta):
-            theta = np.asarray(theta, dtype=float)
-            t_abs = t_now + theta
-            out = np.empty(theta.shape + (d,))
-            for c in range(d):
-                out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
-            if theta.ndim == 0 and theta == 0.0:
-                return np.asarray(y_now, dtype=float)
-            return out
-        return u
-
-    def f(t_now, y_now):
-        return np.asarray(problem.rhs(u_at(None, t_now, y_now)), dtype=float)
-
+    ys[:nhist] = y
+    # step times accumulated as the stepper has always advanced t
     t = 0.0
-    y = np.asarray(y0, dtype=float)
     for i in range(nsteps):
-        k1 = f(t, y)
-        k2 = f(t + step / 2, y + step / 2 * k1)
-        k3 = f(t + step / 2, y + step / 2 * k2)
-        k4 = f(t + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += step
-        ts[filled] = t
-        ys[filled] = y
-        filled += 1
+        ts[nhist + i] = t
+    u = _StepHistory(ts, ys, nhist, step, block=max(1, int(np.floor(tau / step)) - 1))
+
+    def f(stage, y_now):
+        u.stage, u.y = stage, y_now
+        out = np.asarray(problem.rhs(u), dtype=float)
+        if out.shape != (d,):
+            raise ValueError(
+                f"rhs of problem {problem.name!r} returned shape {out.shape}, "
+                f"expected ({d},): one state vector laid out as [x-block, y-block]"
+            )
+        return out
+
+    for i in range(nsteps):
+        if i % u.block == 0:
+            u.new_block(i)
+        u.i = i
+        k1 = f(0, y)
+        k2 = f(1, y + step / 2 * k1)
+        k3 = f(2, y + step / 2 * k2)
+        k4 = f(3, y + step * k3)
+        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys[nhist + i] = y
+    filled = nhist + nsteps
 
     # period from upward crossings of the late-time average of component 0
     tail = slice(filled - int(0.6 * nsteps), filled)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's interpolation and assembly code paths:
 the integrator is a fixed-step RK4 method of steps with cubic Hermite
 interpolated history, and quadrature checks go through scipy's adaptive
-routines.
+routines. ``orbit_guess_per_call`` keeps the straightforward per-call history
+evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -62,3 +63,70 @@ def rk4_method_of_steps(terms, psi, t_end, step):
         fs.append(deriv(t, y))
 
     return hist
+
+
+def orbit_guess_per_call(problem, y0, t_settle, step=0.01, periods_back=3):
+    """``integrate_orbit_guess`` with a fresh per-stage evaluator.
+
+    Every ``u(theta)`` call interpolates each component over the whole
+    accepted history; a scalar ``theta == 0`` returns the stage value.
+    """
+    tau = problem.tau
+    d = problem.d
+    nhist = int(np.ceil(tau / step)) + 1
+    nsteps = int(np.ceil(t_settle / step))
+    ts = np.empty(nhist + nsteps)
+    ys = np.empty((nhist + nsteps, d))
+    ts[:nhist] = np.linspace(-tau, 0.0, nhist)
+    ys[:nhist] = y0[None, :]
+
+    filled = nhist
+
+    def u_at(t_now, y_now):
+        def u(theta):
+            theta = np.asarray(theta, dtype=float)
+            t_abs = t_now + theta
+            out = np.empty(theta.shape + (d,))
+            for c in range(d):
+                out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
+            if theta.ndim == 0 and theta == 0.0:
+                return np.asarray(y_now, dtype=float)
+            return out
+        return u
+
+    def f(t_now, y_now):
+        return np.asarray(problem.rhs(u_at(t_now, y_now)), dtype=float)
+
+    t = 0.0
+    y = np.asarray(y0, dtype=float)
+    for _ in range(nsteps):
+        k1 = f(t, y)
+        k2 = f(t + step / 2, y + step / 2 * k1)
+        k3 = f(t + step / 2, y + step / 2 * k2)
+        k4 = f(t + step, y + step * k3)
+        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += step
+        ts[filled] = t
+        ys[filled] = y
+        filled += 1
+
+    tail = slice(filled - int(0.6 * nsteps), filled)
+    level = ys[tail, 0].mean()
+    sig = ys[tail, 0] - level
+    tt = ts[tail]
+    up = np.nonzero((sig[:-1] < 0) & (sig[1:] >= 0))[0]
+    if up.size < periods_back + 1:
+        raise RuntimeError("not enough oscillations to estimate a period")
+    cross = tt[up] - sig[up] * (tt[up + 1] - tt[up]) / (sig[up + 1] - sig[up])
+    period = float(np.mean(np.diff(cross[-(periods_back + 1):])))
+    t0 = float(cross[-1] - period)
+
+    def profile(s):
+        s = np.asarray(s, dtype=float)
+        t_abs = t0 + s * period
+        out = np.empty(s.shape + (d,))
+        for c in range(d):
+            out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
+        return out
+
+    return profile, period

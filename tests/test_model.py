@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles import orbit_guess_per_call
 from scipy.integrate import quad
 
 from pwfloquet.mesh import Mesh
@@ -11,6 +14,7 @@ from pwfloquet.model import (
     NonlinearProblem,
     builtin,
     coupled_view_of_plant,
+    integrate_orbit_guess,
     linearize,
     plant_v0,
     read_solution,
@@ -278,3 +282,74 @@ class TestValidationErrors:
                 kind="re", d_x=1, d_y=0, omega=1.0, tau=1.0,
                 distributed=(DistributedTerm("x", "x", -0.5, -0.9, np.eye(1)),),
             )
+
+
+def _delayed_vdp(tau, thetas=None):
+    """Van der Pol oscillator ``x' = 3 y``, ``y' = 3 ((1 - x^2) y - x_d)``.
+
+    ``x_d`` is ``x(t - tau)``, or with ``thetas`` the mean of ``x`` over
+    ``t + thetas`` queried as one array.
+    """
+    def rhs(u):
+        s0 = u(0.0)
+        x, y = s0[..., 0], s0[..., 1]
+        xd = u(-tau)[..., 0] if thetas is None else u(thetas)[..., 0].mean(axis=-1)
+        return 3.0 * np.stack([y, (1.0 - x * x) * y - xd], axis=-1)
+
+    return NonlinearProblem(name="delayed-vdp", kind="dde", d_x=0, d_y=2,
+                            tau=tau, rhs=rhs)
+
+
+def _counting(problem):
+    calls = []
+
+    def rhs(u):
+        calls.append(None)
+        return problem.rhs(u)
+
+    return dataclasses.replace(problem, rhs=rhs), calls
+
+
+class TestOrbitGuess:
+    S = np.linspace(0.0, 1.0, 3001)
+
+    @pytest.mark.parametrize("problem, y0, t_settle", [
+        (builtin("logistic", r=1.6).problem, [1.15], 40.0),
+        # delay shorter than one step: every delayed query falls back
+        (_delayed_vdp(0.004), [0.5, 0.0], 20.0),
+        (_delayed_vdp(0.4321), [0.5, 0.0], 20.0),
+        (_delayed_vdp(0.5, np.linspace(-0.5, -0.495, 3)), [0.5, 0.0], 20.0),
+        # an array containing 0 sees accepted steps, never the stage value
+        (_delayed_vdp(0.3, np.linspace(-0.3, 0.0, 4)), [0.5, 0.0], 20.0),
+    ], ids=["logistic", "short-delay", "non-multiple-delay", "array-thetas",
+            "array-with-zero"])
+    def test_bit_identical_to_per_call_evaluator(self, problem, y0, t_settle):
+        counted, calls = _counting(problem)
+        profile, period = integrate_orbit_guess(counted, np.array(y0), t_settle)
+        assert len(calls) == 4 * round(t_settle / 0.01)
+        ref_profile, ref_period = orbit_guess_per_call(problem, np.array(y0), t_settle)
+        assert period == ref_period
+        assert np.array_equal(profile(self.S), ref_profile(self.S))
+
+    def test_list_y0_accepted(self):
+        problem = builtin("logistic", r=1.6).problem
+        profile, period = integrate_orbit_guess(problem, [1.15], t_settle=40.0)
+        ref_profile, ref_period = integrate_orbit_guess(
+            problem, np.array([1.15]), t_settle=40.0)
+        assert period == ref_period
+        assert np.array_equal(profile(self.S), ref_profile(self.S))
+
+    def test_y0_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"y0 has shape \(2,\), expected \(1,\)"):
+            integrate_orbit_guess(builtin("logistic").problem, [1.15, 1.0],
+                                  t_settle=40.0)
+
+    def test_rhs_result_of_wrong_shape(self):
+        problem = NonlinearProblem(name="wide", kind="dde", d_x=0, d_y=1, tau=1.0,
+                                   rhs=lambda u: np.zeros(2))
+        with pytest.raises(ValueError, match=r"returned shape \(2,\), expected \(1,\)"):
+            integrate_orbit_guess(problem, [1.0], t_settle=40.0)
+
+    def test_below_hopf_point_has_no_period(self):
+        with pytest.raises(RuntimeError, match="not enough oscillations"):
+            builtin("logistic", r=1.0).make_guess()
