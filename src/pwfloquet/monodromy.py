@@ -23,6 +23,26 @@ reconstructed from ``(Psi, Z)``: a differential block is reconstructed as
 Each term is assembled over all its points at once: the reconstruction
 weights of all evaluation (or quadrature) points come from batched calls,
 and each row sums the weights of its points, scaled by their coefficients.
+
+The equation is causal, so ``I - A2`` is block lower triangular with one
+diagonal block per forward mesh piece (piece 0 also owns the node at 0):
+``Z`` at a node depends on ``Z`` up to the end of that node's piece only.
+``assemble`` checks this, then forms ``X = (I - A2)^{-1} A1`` by block
+forward substitution, ``X_i = D_i^{-1} (A1_i + A2[i, <i] X_{<i})`` with
+``D_i = I - A2_ii``; the dense ``I - A2`` and its LU are never formed. The
+singularity guard stays global: Higham's 1-norm estimate of
+``||(I - A2)^{-1}||_1`` (the estimator LAPACK's ``gecon`` uses, run through
+block forward and back substitution) against ``||I - A2||_1`` gives
+``rcond``, which must reach ``1e-14``; a per-piece ``rcond`` alone would be
+far weaker, so it only names the worst piece in the error message.
+
+All matrix work in the substitution loop goes through numpy's BLAS only.
+numpy and scipy each load their own OpenBLAS, and alternating calls between
+the two thread pools stall each other on small hosts: on 2 vCPUs the solve
+for quadratic-RE at L = 40, M = 15 took 20x longer with scipy's LU per piece.
+
+``multipliers`` computes eigenvalues only; ``eigenfunction`` computes the
+eigenvectors when asked.
 """
 
 from __future__ import annotations
@@ -53,10 +73,13 @@ __all__ = [
     "eigenfunction",
 ]
 
-MAX_DIMENSION = 20_000  # guard against runaway problem sizes
+# Guard against runaway problem sizes. The blocks A1, A2, B1, B2 are dense
+# and hold dim^2 doubles together (3.2 GB at 20k); the causal solve adds X
+# (n_fwd x n_hist) and T, but no dense copy or factorization of I - A2.
+MAX_DIMENSION = 20_000
 # Dense weight entries built at once during assembly (512 kB). Kept small on
 # purpose: glibc raises its mmap threshold to the size of a freed large block,
-# and the heap then keeps memory through the LU and eigensolve phases (32 MB
+# and the heap then keeps memory through the solve and eigensolve phases (32 MB
 # batches raised the peak RSS of plant M=40 by 30 MB).
 BATCH_ENTRIES = 1 << 16
 
@@ -92,8 +115,12 @@ class MonodromyDiscretization:
         return self.T.shape[0]
 
     @cached_property
+    def _eigvals(self) -> np.ndarray:
+        return _modulus_sorted(scipy.linalg.eigvals(self.T))
+
+    @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return _sorted_eig(self.T)
+        return scipy.linalg.eig(self.T)
 
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Generalized eigenvalue formulation separating ``(Psi, Z)``.
@@ -254,8 +281,9 @@ class _Assembler:
                               t - term.delay)
         for term in eq.distributed:
             # kernel integral over [t + lower, t + upper], split at 0 where
-            # the reconstruction changes form
-            lo, hi = t + term.lower, t + term.upper
+            # the reconstruction changes form; clipped at t, since validation
+            # lets upper exceed 0 by roundoff and Z after t must not enter
+            lo, hi = t + term.lower, np.minimum(t + term.upper, t)
             for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
                                (grid.forward, np.maximum(lo, 0.0), hi)):
                 owner, s, w = window_rule(side, a, b, self.quad_degree)
@@ -314,20 +342,17 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
         raise ValueError(f"discretization dimension {dim} exceeds {MAX_DIMENSION}")
 
     a1, a2, b1, b2 = _Assembler(eq, grid, quad_degree).run()
-    system = np.eye(a2.shape[0]) - a2
-    try:
-        lu, piv = scipy.linalg.lu_factor(system)
-    except scipy.linalg.LinAlgError as exc:
-        raise CoarseDiscretizationError(
-            "fixed-point system is singular: discretization too coarse"
-        ) from exc
-    rcond = _rcond(system, lu)
-    if rcond < 1e-14:
+    system = _CausalSystem(a2, 1.0, grid.forward, eq.d)
+    rcond = system.rcond()
+    if not rcond >= 1e-14:
+        i = int(np.argmin(system.piece_rcond))
         raise CoarseDiscretizationError(
             f"fixed-point system is numerically singular (rcond={rcond:.2e}): "
-            "discretization too coarse"
+            f"discretization too coarse; the piece nearest to singular is "
+            f"{_describe_piece(grid.forward, i)} (piece rcond "
+            f"{system.piece_rcond[i]:.2e})"
         )
-    t_mat = b1 + b2 @ scipy.linalg.lu_solve((lu, piv), a1)
+    t_mat = b1 + b2 @ system.solve(a1)
     return MonodromyDiscretization(
         equation=eq, grid=grid,
         blocks={"A1": a1, "A2": a2, "B1": b1, "B2": b2},
@@ -335,17 +360,101 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     )
 
 
-def _rcond(system: np.ndarray, lu: np.ndarray) -> float:
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
-    rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
-    return float(rcond) if info == 0 else 0.0
+def _describe_piece(side, i: int) -> str:
+    b = side.breakpoints
+    return f"forward piece {i} on [{b[i]:.6g}, {b[i + 1]:.6g}]"
 
 
-def _sorted_eig(matrix: np.ndarray):
-    """Eigenpairs sorted by decreasing modulus, then by angle."""
-    vals, vecs = scipy.linalg.eig(matrix)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order], vecs[:, order]
+class _CausalSystem:
+    """``S = c I - m`` for ``m`` block lower triangular by forward piece.
+
+    Built from ``A2`` with ``c = 1`` it is ``I - A2``; built from ``A2 - I``
+    with ``c = 0`` it is the same matrix bit for bit, since ``-(a - 1)`` is
+    ``1 - a`` exactly. Only the inverses ``D_i^{-1}`` of the diagonal blocks
+    are stored. ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds
+    ``rcond`` from above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``);
+    its smallest entry names the piece nearest to singular. Raises
+    ValueError when ``m`` has an entry above the block diagonal, and
+    :class:`CoarseDiscretizationError` when a diagonal block is singular.
+    """
+
+    def __init__(self, m: np.ndarray, c: float, side, d: int):
+        # piece i owns the rows of nodes i M + 1 ... (i + 1) M; piece 0 also node 0
+        edges = d * (np.arange(side.P + 1) * side.family.degree + 1)
+        edges[0] = 0
+        self.m, self.n = m, m.shape[0]
+        self.blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        self.inv = []
+        col_sums = np.zeros(self.n)
+        for i, rows in enumerate(self.blocks):
+            if m[rows, rows.stop:].any():
+                raise ValueError(
+                    f"A2 is not causal: rows of {_describe_piece(side, i)} depend "
+                    "on forward nodes after that piece"
+                )
+            diag = -m[rows, rows]
+            diag[np.diag_indices_from(diag)] += c
+            try:
+                inv = np.linalg.inv(diag)
+            except np.linalg.LinAlgError as exc:
+                raise CoarseDiscretizationError(
+                    f"fixed-point system is singular on {_describe_piece(side, i)}: "
+                    "discretization too coarse"
+                ) from exc
+            self.inv.append(inv)
+            col_sums[:rows.start] += np.abs(m[rows, :rows.start]).sum(axis=0)
+            col_sums[rows] += np.abs(diag).sum(axis=0)
+        self.norm1 = col_sums.max()
+        self.piece_rcond = 1.0 / (self.norm1 * np.array([np.linalg.norm(inv, 1)
+                                                         for inv in self.inv]))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``S^{-1} rhs`` by block forward substitution."""
+        x = np.empty(rhs.shape)
+        for rows, inv in zip(self.blocks, self.inv):
+            x[rows] = inv @ (rhs[rows] + self.m[rows, :rows.start] @ x[:rows.start])
+        return x
+
+    def solve_t(self, rhs: np.ndarray) -> np.ndarray:
+        """``S^{-T} rhs`` by block back substitution."""
+        x = np.empty(rhs.shape)
+        for rows, inv in zip(reversed(self.blocks), reversed(self.inv)):
+            x[rows] = inv.T @ (rhs[rows] + self.m[rows.stop:, rows].T @ x[rows.stop:])
+        return x
+
+    def inv_norm1(self) -> float:
+        """Lower estimate of ``||S^{-1}||_1``: Higham's method as in LAPACK's
+        ``dlacn2`` (what ``dgecon`` runs), which draws no random numbers."""
+        n = self.n
+        y = self.solve(np.full(n, 1.0 / n))
+        if n == 1:
+            return float(abs(y[0]))
+        est = np.abs(y).sum()
+        sign = np.where(y >= 0.0, 1.0, -1.0)
+        z = self.solve_t(sign)
+        j = int(np.argmax(np.abs(z)))
+        for _ in range(4):  # iterations 2 ... ITMAX = 5
+            y = self.solve(np.eye(1, n, j)[0])
+            est_old, est = est, np.abs(y).sum()
+            new_sign = np.where(y >= 0.0, 1.0, -1.0)
+            if np.array_equal(new_sign, sign) or est <= est_old:
+                break
+            sign = new_sign
+            z = self.solve_t(sign)
+            last, j = j, int(np.argmax(np.abs(z)))
+            if z[last] == abs(z[j]):
+                break
+        alt = np.resize([1.0, -1.0], n) * (1.0 + np.arange(n) / (n - 1))
+        return float(max(est, 2.0 * np.abs(self.solve(alt)).sum() / (3 * n)))
+
+    def rcond(self) -> float:
+        """Reciprocal 1-norm condition estimate, as ``gecon`` defines it."""
+        return 1.0 / (self.norm1 * self.inv_norm1())
+
+
+def _modulus_sorted(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by decreasing modulus, then by angle."""
+    return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
 def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
@@ -356,27 +465,22 @@ def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
     ``direct`` takes the eigenvalues of the assembled monodromy matrix.
     ``pencil`` starts from the generalized problem that separates the
     history and forward unknowns and reduces it internally to the same
-    standard problem through the ``(I - A2)`` solve, so both modes agree to
-    roundoff-identical values. Eigenvalues with modulus below
-    ``tol_discard`` are flagged as numerically spurious but kept.
+    standard problem through the same causal ``(I - A2)`` solve, so both
+    modes agree to roundoff-identical values. Only eigenvalues are computed.
+    Eigenvalues with modulus below ``tol_discard`` are flagged as
+    numerically spurious but kept.
     """
     if mode == "direct":
-        vals = disc._eig[0]
+        vals = disc._eigvals
     elif mode == "pencil":
         p, _ = disc.pencil()
         nh = disc.T.shape[0]
         b1p, b2p = p[:nh, :nh], p[:nh, nh:]
         a1p, a2mi = p[nh:, :nh], p[nh:, nh:]
         # -(A2 - I) is I - A2 bit for bit, so the reduction runs through
-        # the very same factorization and eigensolver as the direct mode
-        try:
-            lu, piv = scipy.linalg.lu_factor(-a2mi)
-            t_mat = b1p + b2p @ scipy.linalg.lu_solve((lu, piv), a1p)
-        except scipy.linalg.LinAlgError as exc:
-            raise CoarseDiscretizationError(
-                "pencil reduction failed: discretization too coarse"
-            ) from exc
-        vals = _sorted_eig(t_mat)[0]
+        # the very same block solve and eigensolver as the direct mode
+        system = _CausalSystem(a2mi, 0.0, disc.grid.forward, disc.equation.d)
+        vals = _modulus_sorted(scipy.linalg.eigvals(b1p + b2p @ system.solve(a1p)))
     else:
         raise ValueError(f"unknown multiplier mode {mode!r}")
 
@@ -403,15 +507,21 @@ def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
 
 
 def eigenfunction(disc: MonodromyDiscretization, index: int):
-    """Eigenvector ``index`` (in modulus-sorted order) as history nodal values.
+    """Eigenvector of ``multipliers(disc).values[index]`` (modulus-sorted
+    order) as history nodal values.
 
+    The eigenvectors are computed on the first call. Each value is paired
+    with the eigenvector whose eigenvalue lies nearest to it, since the
+    values-only and the full eigensolve may differ in the last digits.
     Normalized to unit maximum absolute value; shape (n_hist, d).
     """
     from .interp import NodalFunction
 
-    vals, vecs = disc._eig
+    vals = disc._eigvals
     if not (0 <= index < vals.size):
         raise IndexError(f"eigenvalue index {index} out of range 0..{vals.size - 1}")
-    v = vecs[:, index].reshape(disc.n_hist, disc.equation.d)
+    full, vecs = disc._eig
+    v = vecs[:, np.argmin(np.abs(full - vals[index]))].reshape(
+        disc.n_hist, disc.equation.d)
     v = v / np.abs(v).max()
     return NodalFunction(side=disc.grid.history, values=v)

@@ -5,9 +5,25 @@ the integrator is a fixed-step RK4 method of steps with cubic Hermite
 interpolated history, and quadrature checks go through scipy's adaptive
 routines. ``orbit_guess_per_call`` keeps the straightforward per-call history
 evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
+``dense_monodromy`` forms the monodromy matrix by a dense LU of ``I - A2``,
+ignoring its causal block structure.
 """
 
 import numpy as np
+import scipy.linalg
+
+
+def dense_monodromy(blocks):
+    """``T = B1 + B2 (I - A2)^{-1} A1`` by a dense LU of ``I - A2``, and
+    LAPACK's ``gecon`` estimate of the reciprocal 1-norm condition number of
+    ``I - A2``."""
+    a1, a2, b1, b2 = (blocks[k] for k in ("A1", "A2", "B1", "B2"))
+    system = np.eye(a2.shape[0]) - a2
+    lu, piv = scipy.linalg.lu_factor(system)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
+    rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
+    assert info == 0
+    return b1 + b2 @ scipy.linalg.lu_solve((lu, piv), a1), float(rcond)
 
 
 def rk4_method_of_steps(terms, psi, t_end, step):

@@ -3,7 +3,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from oracles import rk4_method_of_steps
+from oracles import dense_monodromy, rk4_method_of_steps
 from pwfloquet.interp import restrict
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
@@ -14,6 +14,7 @@ from pwfloquet.model import (
     linearize,
     sample_solution,
 )
+from pwfloquet import monodromy
 from pwfloquet.monodromy import (
     CoarseDiscretizationError,
     MissingBreakpointsError,
@@ -21,6 +22,8 @@ from pwfloquet.monodromy import (
     eigenfunction,
     multipliers,
 )
+
+BUILTINS = ["tent", "quadratic-re", "plant", "logistic", "plant-coupled"]
 
 
 def scalar_dde(coeffs, omega, tau, breakpoints=()):
@@ -223,6 +226,17 @@ class TestEigenfunction:
         cos = abs(np.vdot(ef, ref)) / (np.linalg.norm(ef) * np.linalg.norm(ref))
         assert cos > 0.999
 
+    @pytest.mark.parametrize("name", ["plant", "logistic"])
+    def test_eigenvector_pairs_with_multiplier_index(self, name):
+        # multipliers() solves for values only and eigenfunction() for
+        # vectors; index i of both must refer to the same eigenpair
+        disc = _causal_case(name, np.linspace(0.0, 1.0, 9), 10)
+        vals = multipliers(disc).values
+        scale = np.linalg.norm(disc.T, 1)
+        for i in range(6):
+            v = eigenfunction(disc, i).values.ravel()
+            assert np.linalg.norm(disc.T @ v - vals[i] * v) <= 1e-10 * scale * np.linalg.norm(v)
+
     def test_index_out_of_range(self):
         eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
         disc = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(5))
@@ -234,8 +248,16 @@ class TestErrors:
     def test_coarse_discretization_error(self):
         # an enormous coefficient drives the fixed-point system singular
         eq = scalar_dde([(0.0, 1e17)], omega=1.0, tau=1.0)
-        with pytest.raises(CoarseDiscretizationError):
+        with pytest.raises(CoarseDiscretizationError, match=r"piece 0 on \[0, 1\]"):
             assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(6))
+
+    def test_coarse_piece_is_named(self):
+        # y' = a y at M = 1: the diagonal block of a piece of width h is
+        # 1 - a h / 2, (nearly) singular on the 0.6 wide piece for a = 2 / 0.6
+        # while the narrower pieces stay well conditioned
+        eq = scalar_dde([(0.0, 2.0 / 0.6)], omega=1.0, tau=1.0)
+        with pytest.raises(CoarseDiscretizationError, match=r"piece 2 on \[0\.4, 1\]"):
+            assemble(eq, Mesh([0.0, 0.2, 0.4, 1.0]), chebyshev_family(1))
 
     def test_mesh_span_mismatch(self):
         eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
@@ -326,23 +348,107 @@ def _causal_case(name, mesh_pts, M):
     return assemble(eq, mesh, chebyshev_family(M), enforce="ignore")
 
 
+def _random_equation(kind, delays, lower, upper):
+    """Period-1 equation with discrete delays and one distributed window,
+    every coefficient small enough that I - A2 stays far from singular."""
+    d_x, d_y = {"dde": (0, 1), "re": (1, 0), "coupled": (1, 1)}[kind]
+    blocks = [b for b, n in (("x", d_x), ("y", d_y)) if n]
+    pairs = [(t, s) for t in blocks for s in blocks]
+    scale = 0.5 / (len(delays) + 1)
+    coeff = lambda t: (scale * (1.0 + 0.5 * np.cos(2 * np.pi * t)))[..., None, None]
+    kernel = lambda t, th: (scale * np.sin(3.0 * th + t))[..., None, None]
+    return LinearPeriodicEquation(
+        kind=kind, d_x=d_x, d_y=d_y, omega=1.0, tau=1.5,
+        discrete=tuple(DiscreteTerm(*pairs[k % len(pairs)], delay, coeff)
+                       for k, delay in enumerate(delays)),
+        distributed=(DistributedTerm(*pairs[-1], lower, upper, kernel),),
+    )
+
+
+def _assert_causal(disc):
+    fwd, d, M = disc.grid.forward, disc.equation.d, disc.grid.family.degree
+    last = np.array([(fwd.piece_of(t) + 1) * M for t in fwd.nodes])
+    a2 = disc.blocks["A2"].reshape(fwd.n, d, fwd.n, d)
+    beyond = np.arange(fwd.n)[None, :] > last[:, None]
+    assert not np.any(a2.transpose(0, 2, 1, 3)[beyond])
+
+
+def _assert_matches_dense(disc):
+    """T matches the dense LU oracle; returns gecon's rcond of I - A2."""
+    t_dense, rcond = dense_monodromy(disc.blocks)
+    assert np.abs(disc.T - t_dense).max() <= 1e-12 * np.abs(t_dense).max()
+    return rcond
+
+
+_RANDOM_EQUATIONS = dict(
+    inner=st.lists(st.floats(0.02, 0.98), max_size=4, unique=True),
+    M=st.integers(1, 6),
+    delays=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+    lower=st.floats(-1.5, -0.05),
+    upper=st.sampled_from([1e-12, 0.0, -0.02]),
+    kind=st.sampled_from(["dde", "re", "coupled"]),
+)
+
+
 class TestCausality:
     """Z at a forward node depends only on Z up to the end of that node's
     piece, so A2 has no entry right of the row's piece, exactly."""
 
-    @pytest.mark.parametrize(
-        "name", ["tent", "quadratic-re", "plant", "logistic", "plant-coupled"])
+    @pytest.mark.parametrize("name", BUILTINS)
     @given(inner=st.lists(st.floats(0.02, 0.98), max_size=5, unique=True),
            M=st.integers(1, 8))
     @example(inner=[], M=5)
     @settings(max_examples=8, deadline=None)
     def test_a2_is_causal(self, name, inner, M):
-        disc = _causal_case(name, np.unique(np.round([0.0, 1.0] + inner, 3)), M)
-        fwd, d = disc.grid.forward, disc.equation.d
-        last = np.array([(fwd.piece_of(t) + 1) * M for t in fwd.nodes])
-        a2 = disc.blocks["A2"].reshape(fwd.n, d, fwd.n, d)
-        beyond = np.arange(fwd.n)[None, :] > last[:, None]
-        assert not np.any(a2.transpose(0, 2, 1, 3)[beyond])
+        _assert_causal(_causal_case(name, np.unique(np.round([0.0, 1.0] + inner, 3)), M))
+
+    @given(**_RANDOM_EQUATIONS)
+    @example(inner=[0.5], M=3, delays=[0.0], lower=-1.0, upper=1e-12, kind="re")
+    @settings(max_examples=25, deadline=None)
+    def test_random_equation_is_causal(self, inner, M, delays, lower, upper, kind):
+        # windows reaching past t by roundoff (upper = 1e-12) are clipped at t
+        eq = _random_equation(kind, delays, lower, upper)
+        mesh = Mesh(np.unique(np.round([0.0, 1.0] + inner, 3)))
+        _assert_causal(assemble(eq, mesh, chebyshev_family(M), enforce="ignore"))
+
+    def test_non_causal_a2_is_rejected(self, monkeypatch):
+        run = monodromy._Assembler.run
+
+        def leaky(self):
+            a1, a2, b1, b2 = run(self)
+            a2[0, -1] = 1e-300
+            return a1, a2, b1, b2
+
+        monkeypatch.setattr(monodromy._Assembler, "run", leaky)
+        eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
+        with pytest.raises(ValueError, match=r"not causal: rows of forward piece 0 on \[0, 0\.5\]"):
+            assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(3))
+
+
+class TestDenseOracle:
+    """The block forward substitution against a dense LU of I - A2."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_matches_dense_lu(self, name):
+        disc = _causal_case(name, np.linspace(0.0, 1.0, 5), 8)
+        gecon_rcond = _assert_matches_dense(disc)
+        # the singularity guard is as strict as LAPACK's gecon
+        system = monodromy._CausalSystem(disc.blocks["A2"], 1.0, disc.grid.forward,
+                                         disc.equation.d)
+        assert abs(system.rcond() - gecon_rcond) <= 0.1 * gecon_rcond
+
+    @given(**_RANDOM_EQUATIONS)
+    @settings(max_examples=25, deadline=None)
+    def test_random_equation_matches_dense_lu(self, inner, M, delays, lower, upper, kind):
+        eq = _random_equation(kind, delays, lower, upper)
+        mesh = Mesh(np.unique(np.round([0.0, 1.0] + inner, 3)))
+        disc = assemble(eq, mesh, chebyshev_family(M), enforce="ignore")
+        _assert_matches_dense(disc)
+        # Higham's estimate is a lower bound of the exact inverse norm
+        system = monodromy._CausalSystem(disc.blocks["A2"], 1.0, disc.grid.forward,
+                                         disc.equation.d)
+        exact = np.linalg.norm(np.linalg.inv(np.eye(system.n) - disc.blocks["A2"]), 1)
+        assert system.inv_norm1() <= exact * (1 + 1e-12)
 
 
 class TestCallbackConvention:
