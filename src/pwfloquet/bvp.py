@@ -125,11 +125,8 @@ class _System:
         self.Wq = lagrange_matrix(self.table, gq)                 # (m+1, m+1)
         self.Dq = derivative_matrix_at(self.table, gq)
         self.phase_mode = bvp.phase
-        self.qprime = None
-        self.fixed_value = None
-
-    def set_phase_reference(self, ref_nodal: np.ndarray):
-        # ref_nodal: (L, m+1, d) nodal values of the reference profile
+        ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
+        ref_nodal = self.nodal_view(_initial_state_from(self, ref))  # (L, m+1, d)
         if self.phase_mode == "integral":
             self.qprime = np.einsum("qj,ijd->iqd", self.Dq, ref_nodal) / self.h[:, None, None]
         elif self.phase_mode == "fixed":
@@ -218,10 +215,6 @@ def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.nd
     ``profile_state`` holds the nodal values flattened node-major.
     """
     sys = _System(bvp)
-    ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
-    sys.set_phase_reference(
-        sys.nodal_view(_initial_state_from(sys, ref))
-    )
     state = np.concatenate([np.asarray(profile_state, dtype=float).ravel(), [period]])
     return sys.residual(state)
 
@@ -253,8 +246,6 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
         If the residual does not reach ``tol`` within ``max_iters``.
     """
     sys = _System(bvp)
-    ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
-    sys.set_phase_reference(sys.nodal_view(_initial_state_from(sys, ref)))
     state = _initial_state(sys, bvp)
     r = sys.residual(state)
     rnorm = float(np.abs(r).max())

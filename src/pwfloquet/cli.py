@@ -58,7 +58,6 @@ class RunConfig:
     guess_file: str | None = None
     mesh_source: str = "solution"
     M: int = 10
-    mode: str = "direct"
     enforce: str = "merge"
     solution_file: str | None = None
     output: str | None = None
@@ -74,6 +73,17 @@ class RunConfig:
 
 
 _PARAM_NAMES = ("r", "gamma", "a", "b", "eta", "tau")
+# INI sections and their keys (configparser lowercases keys): the RunConfig
+# field each sets and its type; problem parameters go to RunConfig.params
+_INI_KEYS = {
+    "problem": {"name": ("problem", str), **{p: (None, float) for p in _PARAM_NAMES}},
+    "bvp": {"l": ("bvp_L", int), "m": ("bvp_m", int), "tol": ("bvp_tol", float),
+            "max_iters": ("bvp_max_iters", int), "family": ("colloc", str),
+            "phase": ("phase", str)},
+    "monodromy": {"mesh": ("mesh_source", str), "m": ("M", int),
+                  "enforce": ("enforce", str)},
+    "output": {"path": ("output", str)},
+}
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -81,31 +91,26 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return cfg
     ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
+    if not ini.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    if ini.has_section("problem"):
-        sec = ini["problem"]
-        cfg.problem = sec.get("name", cfg.problem)
-        for p in _PARAM_NAMES:
-            if p in sec:
-                cfg.params[p] = sec.getfloat(p)
-    if ini.has_section("bvp"):
-        sec = ini["bvp"]
-        cfg.bvp_L = sec.getint("L", cfg.bvp_L)
-        cfg.bvp_m = sec.getint("m", cfg.bvp_m)
-        cfg.bvp_tol = sec.getfloat("tol", cfg.bvp_tol)
-        cfg.bvp_max_iters = sec.getint("max_iters", cfg.bvp_max_iters)
-        cfg.colloc = sec.get("family", cfg.colloc)
-        cfg.phase = sec.get("phase", cfg.phase)
-    if ini.has_section("monodromy"):
-        sec = ini["monodromy"]
-        cfg.mesh_source = sec.get("mesh", cfg.mesh_source)
-        cfg.M = sec.getint("M", cfg.M)
-        cfg.mode = sec.get("mode", cfg.mode)
-        cfg.enforce = sec.get("enforce", cfg.enforce)
-    if ini.has_section("output"):
-        cfg.output = ini["output"].get("path", cfg.output)
+    if ini.defaults():
+        raise ConfigError(f"config file {path!r}: unknown section [{ini.default_section}]")
+    for name in ini.sections():
+        keys = _INI_KEYS.get(name)
+        if keys is None:
+            raise ConfigError(f"config file {path!r}: unknown section [{name}]")
+        sec = ini[name]
+        for key in sec:
+            if key not in keys:
+                raise ConfigError(f"config file {path!r}: unknown key {key!r} "
+                                  f"in section [{name}]")
+        for key, (attr, kind) in keys.items():
+            if key not in sec:
+                continue
+            if attr is None:
+                cfg.params[key] = kind(sec[key])
+            else:
+                setattr(cfg, attr, kind(sec[key]))
     return cfg
 
 
@@ -118,7 +123,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             cfg.params[p] = val
     for attr, name in [
         ("L", "bvp_L"), ("m", "bvp_m"), ("tol", "bvp_tol"),
-        ("max_iters", "bvp_max_iters"), ("M", "M"), ("mode", "mode"),
+        ("max_iters", "bvp_max_iters"), ("M", "M"),
         ("mesh", "mesh_source"), ("mesh_file", "mesh_file"),
         ("guess_file", "guess_file"), ("solution_file", "solution_file"),
         ("output", "output"), ("phase", "phase"), ("enforce", "enforce"),
@@ -264,10 +269,10 @@ def cmd_multipliers(cfg: RunConfig, save_mesh: str | None = None) -> int:
         write_mesh(disc.grid.mesh, save_mesh,
                    header=f"collocation mesh, problem={built.name} "
                           f"source={cfg.mesh_source}")
-    ms = monodromy.multipliers(disc, mode=cfg.mode)
+    ms = monodromy.multipliers(disc)
     header = [
         f"problem={built.name} params={sorted(built.params.items())}",
-        f"mesh_source={cfg.mesh_source} L={disc.grid.mesh.L} M={cfg.M} mode={cfg.mode}",
+        f"mesh_source={cfg.mesh_source} L={disc.grid.mesh.L} M={cfg.M}",
     ]
     text = _write_multiplier_csv(cfg.output, cfg, ms, header)
     if not cfg.output:
@@ -300,7 +305,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         else:
             mesh = Mesh(np.linspace(0.0, eq.omega, L + 1))
         disc = monodromy.assemble(eq, mesh, chebyshev_family(M), enforce=cfg.enforce)
-        return monodromy.multipliers(disc, mode=cfg.mode)
+        return monodromy.multipliers(disc)
 
     # reference for the dominant (nontrivial where present) multiplier
     if ref_spec.startswith("value:"):
@@ -395,8 +400,7 @@ def _build_parser() -> _Parser:
         p.add_argument("-M", type=int, help="collocation degree per piece")
         p.add_argument("--mesh", help="mesh source: solution | uniform:<L> | "
                                       "refined:<hmax|auto> | file:<path>")
-        p.add_argument("--mode", choices=["direct", "pencil"])
-        p.add_argument("--enforce", choices=["merge", "strict", "ignore"],
+        p.add_argument("--enforce", choices=monodromy.ENFORCE_CHOICES,
                        help="smoothness-breakpoint handling")
         p.add_argument("--solution-file", dest="solution_file",
                        help="linearize around this stored solution")
@@ -447,9 +451,10 @@ def main(argv=None) -> int:
             ref = args.reference or "self:2,120"
             return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError) as exc:
-        # bad options, malformed files, meshes missing a breakpoint in strict
-        # mode, and problems over the size cap are all input errors
+    except (ValueError, FileNotFoundError, configparser.Error) as exc:
+        # bad options, malformed files (INI files included), meshes missing a
+        # breakpoint in strict mode, and problems over the size cap are all
+        # input errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

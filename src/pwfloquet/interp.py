@@ -238,16 +238,16 @@ def integral_weights(side: GridSide, upper) -> np.ndarray:
     return w
 
 
-def window_rule(side: GridSide, lo, hi, degree: int):
+def window_rule(side: GridSide, lo, hi):
     """Quadrature points and weights of the windows ``[lo, hi]`` on a side.
 
     Each window is cut at the side's breakpoints strictly inside it, so the
     interpolant is one polynomial per subpiece, and each subpiece carries the
-    Chebyshev-extrema interpolatory rule of the given degree. The first and
-    last point of a subpiece are its cut points exactly, so no point falls
-    outside its window. Windows with ``hi <= lo`` are empty. Returns flat
-    arrays ``(window index, points, weights)``, ordered by window and then
-    by point.
+    Chebyshev-extrema interpolatory rule of degree ``max(M, 5)``, where ``M``
+    is the side's degree. The first and last point of a subpiece are its cut
+    points exactly, so no point falls outside its window. Windows with
+    ``hi <= lo`` are empty. Returns flat arrays ``(window index, points,
+    weights)``, ordered by window and then by point.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -264,6 +264,7 @@ def window_rule(side: GridSide, lo, hi, degree: int):
     cuts = cuts[keep]
     same = owner[1:] == owner[:-1]
     u0, u1, owner = cuts[:-1][same], cuts[1:][same], owner[:-1][same]
+    degree = max(side.family.degree, 5)
     table = _table(CHEBYSHEV, degree)
     width = (u1 - u0)[:, None]
     points = u0[:, None] + width * table.family.nodes
@@ -271,19 +272,14 @@ def window_rule(side: GridSide, lo, hi, degree: int):
     return np.repeat(owner, degree + 1), points.ravel(), (width * table.quad).ravel()
 
 
-def kernel_quadrature(
-    side: GridSide, lo: float, hi: float, kernel, degree: int | None = None
-) -> np.ndarray:
+def kernel_quadrature(side: GridSide, lo: float, hi: float, kernel) -> np.ndarray:
     """Weights realizing ``int_lo^hi K(s) v(s) ds`` over the side's nodes.
 
     ``kernel`` is elementwise: an array of points ``s`` in, an array of
     shape ``s.shape + (p, q)`` out. The result has shape (p, q, n). The
-    window is split by :func:`window_rule` with the given degree (default
-    ``max(M, 5)``).
+    window is split by :func:`window_rule`.
     """
-    if degree is None:
-        degree = max(side.family.degree, 5)
-    _, s, w = window_rule(side, lo, hi, degree)
+    _, s, w = window_rule(side, lo, hi)
     k = np.asarray(kernel(s), dtype=float)
     if k.ndim != 3 or k.shape[0] != s.size:
         raise ValueError(

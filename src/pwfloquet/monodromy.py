@@ -42,7 +42,7 @@ the two thread pools stall each other on small hosts: on 2 vCPUs the solve
 for quadratic-RE at L = 40, M = 15 took 20x longer with scipy's LU per piece.
 
 ``multipliers`` computes eigenvalues only; ``eigenfunction`` computes the
-eigenvectors when asked.
+eigenvectors when asked. The thresholds of the verdict are module constants.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .interp import integral_weights, prolong_pairs, window_rule
+from .interp import NodalFunction, integral_weights, prolong_pairs, window_rule
 from .mesh import (
     CollocationGrid,
     Mesh,
@@ -82,6 +82,14 @@ MAX_DIMENSION = 20_000
 # and the heap then keeps memory through the solve and eigensolve phases (32 MB
 # batches raised the peak RSS of plant M=40 by 30 MB).
 BATCH_ENTRIES = 1 << 16
+# Breakpoint handling accepted by ``assemble``.
+ENFORCE_CHOICES = ("merge", "strict", "ignore")
+# Multiplier classification: moduli below TOL_DISCARD are flagged spurious,
+# the verdict needs a nontrivial modulus beyond 1 +- TOL_STAB, and the
+# trivial multiplier is the eigenvalue nearest to 1 within TRIVIAL_RADIUS.
+TOL_DISCARD = 1e-12
+TOL_STAB = 1e-6
+TRIVIAL_RADIUS = 0.1
 
 
 class CoarseDiscretizationError(RuntimeError):
@@ -122,35 +130,20 @@ class MonodromyDiscretization:
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
         return scipy.linalg.eig(self.T)
 
-    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """Generalized eigenvalue formulation separating ``(Psi, Z)``.
-
-        Returns ``(P, Q)`` with ``P = [[B1, B2], [A1, A2 - I]]`` and
-        ``Q = diag(I, 0)``; the finite eigenvalues of ``P v = mu Q v`` are
-        the eigenvalues of the monodromy matrix.
-        """
-        a1, a2, b1, b2 = (self.blocks[k] for k in ("A1", "A2", "B1", "B2"))
-        nh, nf = b1.shape[0], a2.shape[0]
-        p = np.block([[b1, b2], [a1, a2 - np.eye(nf)]])
-        q = np.zeros((nh + nf, nh + nf))
-        q[:nh, :nh] = np.eye(nh)
-        return p, q
-
 
 @dataclass(frozen=True, eq=False)
 class MultiplierSet:
     """Approximate Floquet multipliers, sorted by decreasing modulus.
 
-    ``spurious`` flags eigenvalues below the discard threshold (they are
-    kept in the list). The stability verdict ignores the trivial multiplier.
+    ``spurious`` flags eigenvalues with modulus below ``TOL_DISCARD`` (they
+    are kept in the list). The stability verdict ignores the trivial
+    multiplier.
     """
 
     values: np.ndarray
     trivial_index: int | None
     verdict: str
     spurious: np.ndarray
-    tol_stab: float
-    tol_discard: float
 
     def trivial(self) -> complex | None:
         if self.trivial_index is None:
@@ -184,8 +177,6 @@ def _merge_breakpoints(eq: LinearPeriodicEquation, mesh: Mesh, enforce: str):
         raise MissingBreakpointsError(
             f"mesh omits smoothness breakpoints {missing}; refusing in strict mode"
         )
-    if enforce != "merge":
-        raise ValueError(f"unknown breakpoint enforcement mode {enforce!r}")
     warnings.warn(
         f"mesh omits smoothness breakpoints {missing}; merging them in",
         stacklevel=3,
@@ -196,11 +187,9 @@ def _merge_breakpoints(eq: LinearPeriodicEquation, mesh: Mesh, enforce: str):
 class _Assembler:
     """Blocks ``A1, A2, B1, B2`` as (node, component, node, component) arrays."""
 
-    def __init__(self, eq: LinearPeriodicEquation, grid: CollocationGrid,
-                 quad_degree: int | None):
+    def __init__(self, eq: LinearPeriodicEquation, grid: CollocationGrid):
         self.eq = eq
         self.grid = grid
-        self.quad_degree = quad_degree or max(grid.family.degree, 5)
         nh, nf, d = grid.history.n, grid.forward.n, eq.d
         self.A1 = np.zeros((nf, d, nh, d))
         self.A2 = np.zeros((nf, d, nf, d))
@@ -286,7 +275,7 @@ class _Assembler:
             lo, hi = t + term.lower, np.minimum(t + term.upper, t)
             for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
                                (grid.forward, np.maximum(lo, 0.0), hi)):
-                owner, s, w = window_rule(side, a, b, self.quad_degree)
+                owner, s, w = window_rule(side, a, b)
                 kern = self.evaluate(term, term.kernel, t[owner], s - t[owner])
                 self.add(self.A1, self.A2, term.target, term.source, owner,
                          w[:, None, None] * kern, side.label, s)
@@ -317,7 +306,7 @@ def _describe(term) -> str:
 
 
 def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
-             enforce: str = "merge", quad_degree: int | None = None) -> MonodromyDiscretization:
+             enforce: str = "merge") -> MonodromyDiscretization:
     """Discretize the monodromy operator of ``eq`` on ``mesh`` with the
     given node family.
 
@@ -329,6 +318,9 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     :class:`CoarseDiscretizationError` when the fixed-point system is
     numerically singular.
     """
+    if enforce not in ENFORCE_CHOICES:
+        raise ValueError(f"unknown breakpoint enforcement {enforce!r}: "
+                         f"expected one of {ENFORCE_CHOICES}")
     span_tol = 1e-9 * max(1.0, eq.omega)
     if abs(mesh.breakpoints[-1] - eq.omega) > span_tol or mesh.breakpoints[0] != 0.0:
         raise ValueError(
@@ -341,8 +333,8 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     if dim > MAX_DIMENSION:
         raise ValueError(f"discretization dimension {dim} exceeds {MAX_DIMENSION}")
 
-    a1, a2, b1, b2 = _Assembler(eq, grid, quad_degree).run()
-    system = _CausalSystem(a2, 1.0, grid.forward, eq.d)
+    a1, a2, b1, b2 = _Assembler(eq, grid).run()
+    system = _CausalSystem(a2, grid.forward, eq.d)
     rcond = system.rcond()
     if not rcond >= 1e-14:
         i = int(np.argmin(system.piece_rcond))
@@ -366,19 +358,17 @@ def _describe_piece(side, i: int) -> str:
 
 
 class _CausalSystem:
-    """``S = c I - m`` for ``m`` block lower triangular by forward piece.
+    """``S = I - m`` for ``m`` block lower triangular by forward piece.
 
-    Built from ``A2`` with ``c = 1`` it is ``I - A2``; built from ``A2 - I``
-    with ``c = 0`` it is the same matrix bit for bit, since ``-(a - 1)`` is
-    ``1 - a`` exactly. Only the inverses ``D_i^{-1}`` of the diagonal blocks
-    are stored. ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds
-    ``rcond`` from above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``);
-    its smallest entry names the piece nearest to singular. Raises
-    ValueError when ``m`` has an entry above the block diagonal, and
+    Only the inverses ``D_i^{-1}`` of the diagonal blocks are stored.
+    ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds ``rcond`` from
+    above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``); its smallest
+    entry names the piece nearest to singular. Raises ValueError when ``m``
+    has an entry above the block diagonal, and
     :class:`CoarseDiscretizationError` when a diagonal block is singular.
     """
 
-    def __init__(self, m: np.ndarray, c: float, side, d: int):
+    def __init__(self, m: np.ndarray, side, d: int):
         # piece i owns the rows of nodes i M + 1 ... (i + 1) M; piece 0 also node 0
         edges = d * (np.arange(side.P + 1) * side.family.degree + 1)
         edges[0] = 0
@@ -393,7 +383,7 @@ class _CausalSystem:
                     "on forward nodes after that piece"
                 )
             diag = -m[rows, rows]
-            diag[np.diag_indices_from(diag)] += c
+            diag[np.diag_indices_from(diag)] += 1.0
             try:
                 inv = np.linalg.inv(diag)
             except np.linalg.LinAlgError as exc:
@@ -457,53 +447,32 @@ def _modulus_sorted(vals: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
-def multipliers(disc: MonodromyDiscretization, mode: str = "direct", *,
-                tol_discard: float = 1e-12, tol_stab: float = 1e-6,
-                trivial_radius: float = 0.1) -> MultiplierSet:
+def multipliers(disc: MonodromyDiscretization) -> MultiplierSet:
     """Extract approximate Floquet multipliers from a discretization.
 
-    ``direct`` takes the eigenvalues of the assembled monodromy matrix.
-    ``pencil`` starts from the generalized problem that separates the
-    history and forward unknowns and reduces it internally to the same
-    standard problem through the same causal ``(I - A2)`` solve, so both
-    modes agree to roundoff-identical values. Only eigenvalues are computed.
-    Eigenvalues with modulus below ``tol_discard`` are flagged as
+    Takes the eigenvalues of the assembled monodromy matrix (eigenvalues
+    only). Eigenvalues with modulus below ``TOL_DISCARD`` are flagged as
     numerically spurious but kept.
     """
-    if mode == "direct":
-        vals = disc._eigvals
-    elif mode == "pencil":
-        p, _ = disc.pencil()
-        nh = disc.T.shape[0]
-        b1p, b2p = p[:nh, :nh], p[:nh, nh:]
-        a1p, a2mi = p[nh:, :nh], p[nh:, nh:]
-        # -(A2 - I) is I - A2 bit for bit, so the reduction runs through
-        # the very same block solve and eigensolver as the direct mode
-        system = _CausalSystem(a2mi, 0.0, disc.grid.forward, disc.equation.d)
-        vals = _modulus_sorted(scipy.linalg.eigvals(b1p + b2p @ system.solve(a1p)))
-    else:
-        raise ValueError(f"unknown multiplier mode {mode!r}")
-
+    vals = disc._eigvals
     mods = np.abs(vals)
-    spurious = mods < tol_discard
+    spurious = mods < TOL_DISCARD
     dist_to_one = np.abs(vals - 1.0)
     trivial_index = int(np.argmin(dist_to_one))
-    if dist_to_one[trivial_index] > trivial_radius:
+    if dist_to_one[trivial_index] > TRIVIAL_RADIUS:
         trivial_index = None
     nontrivial = np.ones(vals.size, dtype=bool)
     if trivial_index is not None:
         nontrivial[trivial_index] = False
     nt_mods = mods[nontrivial]
-    if nt_mods.size and np.any(nt_mods > 1.0 + tol_stab):
+    if nt_mods.size and np.any(nt_mods > 1.0 + TOL_STAB):
         verdict = "unstable"
-    elif nt_mods.size == 0 or np.all(nt_mods < 1.0 - tol_stab):
+    elif nt_mods.size == 0 or np.all(nt_mods < 1.0 - TOL_STAB):
         verdict = "stable"
     else:
         verdict = "inconclusive"
-    return MultiplierSet(
-        values=vals, trivial_index=trivial_index, verdict=verdict,
-        spurious=spurious, tol_stab=tol_stab, tol_discard=tol_discard,
-    )
+    return MultiplierSet(values=vals, trivial_index=trivial_index,
+                         verdict=verdict, spurious=spurious)
 
 
 def eigenfunction(disc: MonodromyDiscretization, index: int):
@@ -515,8 +484,6 @@ def eigenfunction(disc: MonodromyDiscretization, index: int):
     values-only and the full eigensolve may differ in the last digits.
     Normalized to unit maximum absolute value; shape (n_hist, d).
     """
-    from .interp import NodalFunction
-
     vals = disc._eigvals
     if not (0 <= index < vals.size):
         raise IndexError(f"eigenvalue index {index} out of range 0..{vals.size - 1}")

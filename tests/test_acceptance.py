@@ -3,6 +3,7 @@
 Each test prints a single PASS/FAIL line (SOFT-PASS/SOFT-WARN for the two
 criteria that depend on the locally reconstructed neural-model solution).
 Run with ``pytest tests/test_acceptance.py -v`` for the full report.
+Criterion 08 is retired (see the README); the others keep their numbers.
 """
 
 import warnings
@@ -239,27 +240,6 @@ def test_c07_ode_oracle(announce):
     announce(f"ACCEPTANCE 07 {'PASS' if err <= 1e-8 else 'FAIL'}: scalar "
              f"y' = y dominant eigenvalue error {err:.2e} (gate 1e-8)")
     assert err <= 1e-8
-
-
-def test_c08_mode_equivalence(qre, tent_eq, logistic_16, announce):
-    _, eq_qre = qre
-    b16, r16 = logistic_16
-    discs = [
-        assemble(eq_qre, Mesh(np.linspace(0, 4, 5)), chebyshev_family(8)),
-        assemble(tent_eq, Mesh([0.0, 1.0, 2.0]), chebyshev_family(12)),
-        assemble(linearize(b16.problem, r16.solution),
-                 r16.solution.mesh, chebyshev_family(3)),
-    ]
-    worst = 0.0
-    for disc in discs:
-        vd = multipliers(disc, mode="direct").values
-        vp = multipliers(disc, mode="pencil").values
-        keep = np.abs(vd) > 1e-8
-        rel = np.abs(vd[keep] - vp[keep]) / np.abs(vd[keep])
-        worst = max(worst, float(rel.max()))
-    announce(f"ACCEPTANCE 08 {'PASS' if worst <= 1e-10 else 'FAIL'}: direct vs "
-             f"pencil worst relative difference {worst:.2e} (gate 1e-10)")
-    assert worst <= 1e-10
 
 
 def test_c09_operator_identities(announce):

@@ -160,6 +160,27 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, ini", [
+        (["--mode", "pencil"], None),
+        ([], "[monodromy]\nmode = pencil\n"),
+        ([], "[monodromy]\nenforce = bogus\n"),
+        ([], "[monodromy]\nMm = 3\n"),
+        ([], "[mesh]\nM = 3\n"),
+        ([], "[DEFAULT]\nM = 3\n"),
+        ([], "M = 3\n"),
+    ], ids=["flag-mode", "ini-mode", "ini-enforce", "ini-key-typo", "ini-section",
+            "ini-default-section", "ini-no-section"])
+    def test_unknown_option_or_value_is_config_error(self, tmp_path, capsys, flags, ini):
+        # the mesh holds the breakpoint of the tent equation, so only the bad
+        # option can stop the run
+        argv = ["multipliers", "--problem", "tent", "--mesh", "uniform:2", "-M", "4"]
+        if ini is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(ini)
+            argv += ["--config", str(path)]
+        assert run(argv + flags) == 3
+        assert "configuration error" in capsys.readouterr().err
+
     def test_malformed_mesh_file_is_config_error(self, malformed_mesh):
         assert run(["multipliers", "--problem", "tent", "--mesh",
                     f"file:{malformed_mesh}"]) == 3

@@ -124,35 +124,13 @@ class TestBreakpointEnforcement:
         disc = assemble(tent, Mesh([0.0, 2.0]), chebyshev_family(10), enforce="ignore")
         assert disc.grid.mesh.L == 1
 
-
-class TestModeEquivalence:
-    def instances(self):
-        b = builtin("quadratic-re", gamma=4.0)
-        yield assemble(linearize(b.problem, b.exact),
-                       Mesh(np.linspace(0, 4, 5)), chebyshev_family(8))
-        yield assemble(builtin("tent").linear,
-                       Mesh([0.0, 1.0, 2.0]), chebyshev_family(12))
-        logi = builtin("logistic", r=1.6)
-        sol = sample_solution(
-            lambda t: np.atleast_1d(1.0 + 0.39 * np.sin(2 * np.pi * t / 4.02)),
-            4.02, Mesh(np.linspace(0, 1, 9)), 3,
-        )
-        yield assemble(linearize(logi.problem, sol), sol.mesh, chebyshev_family(3))
-
-    def test_direct_and_pencil_agree(self):
-        for disc in self.instances():
-            d = multipliers(disc, mode="direct")
-            p = multipliers(disc, mode="pencil")
-            keep = np.abs(d.values) > 1e-8
-            assert d.values.size == p.values.size
-            rel = np.abs(d.values[keep] - p.values[keep]) / np.abs(d.values[keep])
-            assert rel.max() <= 1e-10
-
-    def test_pencil_shape(self):
-        disc = next(iter(self.instances()))
-        p, q = disc.pencil()
-        n = disc.equation.d * (disc.n_hist + disc.n_fwd)
-        assert p.shape == (n, n) and q.shape == (n, n)
+    @pytest.mark.parametrize("breakpoints", [[0.0, 1.0, 2.0], [0.0, 1.0]])
+    def test_unknown_enforcement_is_rejected_first(self, breakpoints):
+        # rejected even when no breakpoint is missing, and before the mesh
+        # span is checked
+        tent = builtin("tent").linear
+        with pytest.raises(ValueError, match=r"'bogus'.*'merge', 'strict', 'ignore'"):
+            assemble(tent, Mesh(breakpoints), chebyshev_family(6), enforce="bogus")
 
 
 class TestMultiplierSet:
@@ -433,7 +411,7 @@ class TestDenseOracle:
         disc = _causal_case(name, np.linspace(0.0, 1.0, 5), 8)
         gecon_rcond = _assert_matches_dense(disc)
         # the singularity guard is as strict as LAPACK's gecon
-        system = monodromy._CausalSystem(disc.blocks["A2"], 1.0, disc.grid.forward,
+        system = monodromy._CausalSystem(disc.blocks["A2"], disc.grid.forward,
                                          disc.equation.d)
         assert abs(system.rcond() - gecon_rcond) <= 0.1 * gecon_rcond
 
@@ -445,7 +423,7 @@ class TestDenseOracle:
         disc = assemble(eq, mesh, chebyshev_family(M), enforce="ignore")
         _assert_matches_dense(disc)
         # Higham's estimate is a lower bound of the exact inverse norm
-        system = monodromy._CausalSystem(disc.blocks["A2"], 1.0, disc.grid.forward,
+        system = monodromy._CausalSystem(disc.blocks["A2"], disc.grid.forward,
                                          disc.equation.d)
         exact = np.linalg.norm(np.linalg.inv(np.eye(system.n) - disc.blocks["A2"]), 1)
         assert system.inv_norm1() <= exact * (1 + 1e-12)
