@@ -5,8 +5,30 @@ continuous piecewise polynomial at equidistant nodes per piece, plus the
 period. Equations are the delay equation collocated at per-piece Gauss
 (or Chebyshev) points, the periodicity constraint ``p(0) = p(1)``, and one
 scalar phase condition removing the time-translation degeneracy. The
-resulting square nonlinear system is solved by a damped Newton iteration
-with a forward-difference Jacobian.
+periodicity and phase rows are linear and built once. The profile is
+evaluated anywhere through the interpolation weights of ``prolong_pairs``.
+
+The square nonlinear system is solved by a damped Newton-type iteration
+with an analytic Jacobian. The derivative of the right-hand side comes from
+the problem's ``linearize_terms`` at the current iterate, the same terms the
+monodromy assembler reads, so a problem without ``linearize_terms`` cannot be
+solved (``MissingDerivativesError``). Where ``rhs`` integrates a distributed
+delay with its own fixed quadrature (``quadratic-re``, ``plant-coupled``),
+``linearize_terms`` describes the continuous integral instead, so the
+Jacobian is close to, not equal to, the derivative of the residual: the
+iteration is then a quasi-Newton one that converges linearly, with the same
+root.
+
+Each step solves ``(A^T A + |b|^2 I) x = -A^T b``, with ``A`` the Jacobian
+and ``b`` the residual, both with rows scaled to unit max-norm (a
+Levenberg-Marquardt step with ``mu = |F|^2``; Yamashita & Fukushima,
+Computing Suppl. 15, 2001). Near a root it is the Newton step. It also
+converges where the collocation system is singular but consistent: renewal
+rows on continuous elements admit a spurious piecewise mode, and on the
+uniform meshes of ``quadratic-re`` the Jacobian then has a null direction
+(its solutions are not isolated), where a plain Newton step diverges. A
+Jacobian with a numerically zero row or column raises
+``SingularJacobianError``.
 """
 
 from __future__ import annotations
@@ -16,9 +38,15 @@ from typing import Callable
 
 import numpy as np
 
-from .interp import bary_table, derivative_matrix_at, lagrange_matrix
-from .mesh import UNIFORM, Mesh, reference_nodes
-from .model import NonlinearProblem, PiecewiseSolution
+from .interp import (
+    bary_table,
+    derivative_matrix_at,
+    lagrange_matrix,
+    prolong_pairs,
+    window_rule,
+)
+from .mesh import UNIFORM, Mesh, build_forward_grid, reference_nodes
+from .model import MissingDerivativesError, NonlinearProblem, PiecewiseSolution, term_values
 
 __all__ = [
     "BvpProblem",
@@ -34,7 +62,6 @@ __all__ = [
 GAUSS_LEGENDRE = "gauss-legendre"
 CHEBYSHEV_ZEROS = "chebyshev-zeros"
 
-FD_STEP = 1e-7
 MAX_HALVINGS = 8
 
 
@@ -54,7 +81,10 @@ class BvpProblem:
 
     ``mesh`` partitions [0, 1]; ``guess_profile(s)`` supplies the initial
     profile on [0, 1] (a PiecewiseSolution over its own period is rescaled).
-    ``phase_reference`` defaults to the initial guess.
+    ``phase_reference`` defaults to the initial guess. Profiles are
+    elementwise: they are called once, with the array ``s`` of all
+    ``L m + 1`` nodes, and return shape ``s.shape + (d,)`` (or ``s.shape``
+    when ``d == 1``); any other shape raises a ValueError naming both.
     """
 
     problem: NonlinearProblem
@@ -90,123 +120,217 @@ def _profile_on_01(source) -> Callable:
     if isinstance(source, PiecewiseSolution):
         om = source.omega
         return lambda s: source(np.asarray(s) * om)
-    return lambda s: np.atleast_1d(source(s))
+    return source
 
 
 class _System:
-    """Precomputed tables and the residual map for one BVP instance."""
+    """Fixed tables, the residual map and its Jacobian for one BVP instance.
+
+    The unknowns are the nodal values of the profile on the uniform nodes of
+    the BVP mesh, node-major (node ``j`` of piece ``i`` is global node
+    ``i m + j``), followed by the period ``w``. Every evaluation of the
+    profile, in the residual and in the Jacobian, goes through the
+    interpolation weights of ``prolong_pairs`` on that grid side.
+    """
 
     def __init__(self, bvp: BvpProblem):
         self.problem = bvp.problem
-        self.d = bvp.problem.d
-        self.d_x = bvp.problem.d_x
-        self.mesh = bvp.mesh
-        self.m = bvp.degree
-        if self.m < 1:
+        self.d = d = bvp.problem.d
+        self.d_x = d_x = bvp.problem.d_x
+        self.m = m = bvp.degree
+        if m < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if abs(self.mesh.breakpoints[0]) > 1e-14 or abs(self.mesh.breakpoints[-1] - 1.0) > 1e-14:
+        b, L = bvp.mesh.breakpoints, bvp.mesh.L
+        if abs(b[0]) > 1e-14 or abs(b[-1] - 1.0) > 1e-14:
             raise ValueError("the BVP mesh must span [0, 1]")
-        self.L = self.mesh.L
-        self.fam = reference_nodes(UNIFORM, self.m)
-        self.table = bary_table(self.fam)
-        self.zeta = _collocation_points(bvp.colloc_kind, self.m)
-        self.Wc = lagrange_matrix(self.table, self.zeta)          # (m, m+1)
-        self.Dc = derivative_matrix_at(self.table, self.zeta)     # (m, m+1)
-        self.n_nodes = self.L * self.m + 1
-        self.n_unknowns = self.d * self.n_nodes + 1
-        b = self.mesh.breakpoints
-        self.h = np.diff(b)
-        self.abs_colloc = b[:-1, None] + self.h[:, None] * self.zeta[None, :]
-        # phase condition: per-piece Gauss rule exact for <p, q'>
-        gq, gw = np.polynomial.legendre.leggauss(self.m + 1)
-        gq = 0.5 * (gq + 1.0)
-        self.ph_x = gq
-        self.ph_w = 0.5 * gw
-        self.Wq = lagrange_matrix(self.table, gq)                 # (m+1, m+1)
-        self.Dq = derivative_matrix_at(self.table, gq)
-        self.phase_mode = bvp.phase
+        self.side = build_forward_grid(Mesh(b - b[0]), reference_nodes(UNIFORM, m))
+        b = self.side.breakpoints
+        self.table = table = bary_table(self.side.family)
+        self.n_nodes = n = L * m + 1
+        self.n_unknowns = d * n + 1
+        self.h = h = np.diff(b)
+        self.piece_cols = np.arange(L)[:, None] * m + np.arange(m + 1)  # (L, m+1)
+        zeta = _collocation_points(bvp.colloc_kind, m)
+        self.colloc = (b[:-1, None] + h[:, None] * zeta).ravel()
+        npts = L * m
+        # collocation rows are scaled by 1 (renewal) or by the period (differential)
+        self.differential = np.arange(d) >= d_x
+        self.block_offset, self.block_dim = {"x": 0, "y": d_x}, {"x": d_x, "y": d - d_x}
+
+        # the residual is linear @ nodal values - offset: the collocated value
+        # (renewal) or derivative (differential) minus the scaled right-hand
+        # side, then periodicity p(0) = p(1), then the phase condition
+        self.linear = np.zeros((self.n_unknowns, n * d))
+        colloc = self.linear[: npts * d].reshape(L, m, d, n, d)
+        ops = (lagrange_matrix(table, zeta),
+               derivative_matrix_at(table, zeta) / h[:, None, None])
+        pieces, rows = np.arange(L)[:, None, None], np.arange(m)[None, :, None]
+        for k in range(d):
+            colloc[pieces, rows, k, self.piece_cols[:, None, :], k] = ops[k >= d_x]
+        period = self.linear[npts * d: npts * d + d].reshape(d, n, d)
+        period[np.arange(d), 0, np.arange(d)] = 1.0
+        period[np.arange(d), n - 1, np.arange(d)] = -1.0
+        self.offset = np.zeros(self.n_unknowns)
+
         ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
-        ref_nodal = self.nodal_view(_initial_state_from(self, ref))  # (L, m+1, d)
-        if self.phase_mode == "integral":
-            self.qprime = np.einsum("qj,ijd->iqd", self.Dq, ref_nodal) / self.h[:, None, None]
-        elif self.phase_mode == "fixed":
-            self.fixed_value = float(ref_nodal[0, 0, 0])
+        ref_nodal = _initial_state_from(self, ref).reshape(n, d)
+        phase = self.linear[-1].reshape(n, d)
+        if bvp.phase == "integral":
+            # <p, q'> with q the reference: per-piece Gauss rule, exact here
+            gq, gw = np.polynomial.legendre.leggauss(m + 1)
+            gq = 0.5 * (gq + 1.0)
+            wq = lagrange_matrix(table, gq)
+            qprime = np.einsum("qj,ijd->iqd", derivative_matrix_at(table, gq),
+                               ref_nodal[self.piece_cols]) / h[:, None, None]
+            np.add.at(phase, self.piece_cols,
+                      np.einsum("qj,iqd,q,i->ijd", wq, qprime, 0.5 * gw, h))
+        elif bvp.phase == "fixed":
+            phase[0, 0] = 1.0
+            self.offset[-1] = ref_nodal[0, 0]
         else:
-            raise ValueError(f"unknown phase condition {self.phase_mode!r}")
+            raise ValueError(f"unknown phase condition {bvp.phase!r}")
 
     def nodal_view(self, flat: np.ndarray) -> np.ndarray:
-        p = flat.reshape(self.n_nodes, self.d)
-        idx = np.arange(self.L)[:, None] * self.m + np.arange(self.m + 1)[None, :]
-        return p[idx]  # (L, m+1, d)
+        return flat.reshape(self.n_nodes, self.d)[self.piece_cols]  # (L, m+1, d)
 
-    def evaluator(self, pieces: np.ndarray):
-        b = self.mesh.breakpoints
-        table = self.table
+    def values_at(self, p: np.ndarray, s) -> np.ndarray:
+        """The profile with nodal values ``p`` at ``s`` (mod 1), elementwise."""
+        cols, w = prolong_pairs(self.side, np.mod(s, 1.0))
+        return np.einsum("...k,...kd->...d", w, p[cols])
 
-        def ev(s):
-            s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), 1.0)
-            idx = np.clip(np.searchsorted(b, s, side="right") - 1, 0, self.L - 1)
-            x = (s - b[idx]) / self.h[idx]
-            w = lagrange_matrix(table, x)
-            return np.einsum("pj,pjd->pd", w, pieces[idx])
-
-        return ev
-
-    def residual(self, state: np.ndarray) -> np.ndarray:
+    def evaluate(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual and right-hand side ``g`` at the collocation points."""
         w = state[-1]
-        pieces = self.nodal_view(state[:-1])
-        ev = self.evaluator(pieces)
-        d = self.d
-        npts = self.L * self.m
-        base = self.abs_colloc.ravel()
+        p = state[:-1].reshape(self.n_nodes, self.d)
 
         # one batched right-hand-side call covering every collocation point
         def u(theta):
-            th = np.asarray(theta, dtype=float)
-            if th.ndim == 0:
-                return ev(base + float(th) / w)
-            pos = base[:, None] + th[None, :] / w
-            return ev(pos.ravel()).reshape(npts, th.size, d)
+            return self.values_at(p, np.add.outer(self.colloc, np.asarray(theta, float) / w))
 
-        g = np.asarray(self.problem.rhs(u), dtype=float).reshape(npts, d)
-        pv = np.einsum("cj,ijd->icd", self.Wc, pieces).reshape(npts, d)
-        pd = np.einsum("cj,ijd->icd", self.Dc, pieces)
-        pd = (pd / self.h[:, None, None]).reshape(npts, d)
-        rows = np.empty((npts, d))
-        rows[:, : self.d_x] = pv[:, : self.d_x] - g[:, : self.d_x]
-        rows[:, self.d_x :] = pd[:, self.d_x :] - w * g[:, self.d_x :]
+        g = np.asarray(self.problem.rhs(u), dtype=float).reshape(self.colloc.size, self.d)
+        res = self.linear @ state[:-1] - self.offset
+        res[: g.size] -= (np.where(self.differential, w, 1.0) * g).ravel()
+        return res, g
 
-        res = np.empty(self.n_unknowns)
-        res[: npts * d] = rows.ravel()
-        pos = npts * d
-        res[pos : pos + d] = pieces[0, 0] - pieces[-1, -1]
-        pos += d
-        if self.phase_mode == "integral":
-            pq = np.einsum("qj,ijd->iqd", self.Wq, pieces)
-            res[pos] = np.einsum("iqd,iqd,q,i->", pq, self.qprime, self.ph_w, self.h)
-        else:
-            res[pos] = pieces[0, 0, 0] - self.fixed_value
-        return res
+    def residual(self, state: np.ndarray) -> np.ndarray:
+        return self.evaluate(state)[0]
+
+    def jacobian(self, state: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Jacobian of the residual at ``state``; ``g`` is its right-hand side.
+
+        The derivative of the right-hand side comes from
+        ``linearize_terms`` at the iterate. A discrete term with delay ``tau``
+        adds ``coeff(w s) p(s - tau / w)`` at each collocation point ``s``, a
+        distributed term ``int K(w s, th) p(s + th / w) dth``. Their period
+        derivatives are the same sums with ``p'(s + th / w) (-th / w^2)``.
+        """
+        w = state[-1]
+        p = state[:-1].reshape(self.n_nodes, self.d)
+        npts, d = self.colloc.size, self.d
+        jp = np.zeros((npts, d, self.n_nodes, d))
+        dgdw = np.zeros((npts, d))
+        # p' on every piece, as nodal values of the piece's own polynomial
+        dp = (np.einsum("kj,ijd->ikd", self.table.diff, p[self.piece_cols])
+              / self.h[:, None, None])
+        t = w * self.colloc
+        discrete, distributed = self.problem.linearize_terms(
+            lambda tt: self.values_at(p, np.asarray(tt, float) / w), w)
+        every = np.arange(npts)
+        for term in discrete:
+            coeff = self._term_values(term, t)
+            theta = np.full(npts, -term.delay)
+            self._add(jp, dgdw, dp, term, every, np.mod(self.colloc + theta / w, 1.0),
+                      -theta / w**2, coeff)
+        for term in distributed:
+            c, s, theta, wq = self._windows(term, w)
+            kern = self._term_values(term, t[c], theta)
+            self._add(jp, dgdw, dp, term, c, s, -theta / w**2,
+                      w * wq[:, None, None] * kern)
+
+        scale = np.where(self.differential, w, 1.0)
+        jp *= scale[:, None, None]
+        jac = np.zeros((self.n_unknowns, self.n_unknowns))
+        jac[:, :-1] = self.linear
+        jac[: npts * d, :-1] -= jp.reshape(npts * d, -1)
+        jac[: npts * d, -1] = -(scale * dgdw + np.where(self.differential, g, 0.0)).ravel()
+        return jac
+
+    def _term_values(self, term, *args) -> np.ndarray:
+        return term_values(term, self.block_dim[term.target], self.block_dim[term.source],
+                           *args)
+
+    def _add(self, jp, dgdw, dp, term, c, s, dsdw, coeff):
+        """Add ``coeff[k] p_source(s[k])``, ``s`` in [0, 1], to the
+        right-hand side at collocation point ``c[k]``: its nodal weights to
+        ``jp``, its period derivative ``coeff[k] p'_source(s[k]) dsdw[k]``
+        to ``dgdw``."""
+        ot, os = self.block_offset[term.target], self.block_offset[term.source]
+        pt, qs = coeff.shape[1:]
+        cols, lw = prolong_pairs(self.side, s)
+        np.add.at(jp, (c[:, None, None, None], ot + np.arange(pt)[:, None, None],
+                       cols[:, None, :, None], os + np.arange(qs)),
+                  coeff[:, :, None, :] * lw[:, None, :, None])
+        slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // self.m])[:, os:os + qs]
+        np.add.at(dgdw, (c[:, None], ot + np.arange(pt)),
+                  np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
+
+    def _windows(self, term, w):
+        """Quadrature of a distributed term at every collocation point.
+
+        The window ``[s + lower / w, s + upper / w]`` is cut at the integers
+        it crosses and each part is shifted into [0, 1]. Returns the owning
+        collocation point, the point in [0, 1], its ``theta`` and its
+        weight in ``s``."""
+        lo = self.colloc + term.lower / w
+        hi = self.colloc + min(term.upper, 0.0) / w
+        shifts = np.arange(np.floor(lo.min()), np.ceil(hi.max()))
+        owner, s, wq = window_rule(
+            self.side, np.clip(lo[:, None] - shifts, 0.0, 1.0).ravel(),
+            np.clip(hi[:, None] - shifts, 0.0, 1.0).ravel())
+        c, k = np.divmod(owner, shifts.size)
+        return c, s, w * (s + shifts[k] - self.colloc[c]), wq
 
 
 def _initial_state_from(sys: _System, source) -> np.ndarray:
-    prof = _profile_on_01(source)
-    b = sys.mesh.breakpoints
-    vals = []
-    for i in range(sys.L):
-        nodes = b[i] + sys.h[i] * sys.fam.nodes
-        block = np.asarray([np.atleast_1d(prof(s)) for s in nodes], dtype=float)
-        if block.shape[1] != sys.d:
-            raise ValueError(
-                f"profile returns dimension {block.shape[1]}, expected {sys.d}"
-            )
-        vals.append(block if i == 0 else block[1:])
-    return np.concatenate(vals).ravel()
+    """Nodal values of a profile over [0, 1], from one elementwise call."""
+    s = sys.side.nodes
+    vals = np.asarray(_profile_on_01(source)(s), dtype=float)
+    if vals.shape == s.shape and sys.d == 1:
+        vals = vals[:, None]
+    if vals.shape != s.shape + (sys.d,):
+        want = f"{s.shape + (sys.d,)}" + (f" or {s.shape}" if sys.d == 1 else "")
+        raise ValueError(
+            f"profile returned shape {vals.shape} for {s.size} nodes, expected {want}: "
+            "profiles are elementwise (an array of points in, shape + (d,) out)"
+        )
+    return vals.ravel()
 
 
 def _initial_state(sys: _System, bvp: BvpProblem) -> np.ndarray:
     flat = _initial_state_from(sys, bvp.guess_profile)
     return np.concatenate([flat, [float(bvp.period_guess)]])
+
+
+def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt step: ``(A^T A + |b|^2 I) x = -A^T b`` for the
+    system ``A = S jac``, ``b = S r`` with rows scaled to unit max-norm."""
+    size = np.abs(jac)
+    rows, cols = size.max(axis=1), size.max(axis=0)
+    tiny = np.finfo(float).eps * jac.shape[0] * rows.max()
+    if rows.min() <= tiny or cols.min() <= tiny:
+        raise SingularJacobianError(
+            "singular collocation Jacobian: some equation depends on no unknown, or "
+            "some unknown enters no equation (a constant phase reference, or a "
+            "right-hand side that does not see the period)"
+        )
+    a, b = jac, r / rows
+    a /= rows[:, None]
+    normal = a.T @ a
+    normal[np.diag_indices_from(normal)] += b @ b
+    try:
+        return np.linalg.solve(normal, -(a.T @ b))
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobianError("singular collocation Jacobian") from exc
 
 
 def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.ndarray:
@@ -221,7 +345,10 @@ def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.nd
 
 def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
                    max_iters: int = 50) -> BvpResult:
-    """Newton-solve the collocation system for a periodic solution.
+    """Solve the collocation system for a periodic solution.
+
+    A damped Newton-type iteration with the analytic Jacobian; see the
+    module docstring for the step and for the quasi-Newton case.
 
     Parameters
     ----------
@@ -239,15 +366,23 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
 
     Raises
     ------
+    MissingDerivativesError
+        If the problem has no ``linearize_terms``.
     SingularJacobianError
-        If the linearized system is singular (degenerate phase condition or
-        a non-isolated solution); try a better guess or phase reference.
+        If the Jacobian has a numerically zero row or column (a constant
+        phase reference, or a right-hand side that does not see the period);
+        try a better guess or phase reference.
     ConvergenceError
         If the residual does not reach ``tol`` within ``max_iters``.
     """
+    if bvp.problem.linearize_terms is None:
+        raise MissingDerivativesError(
+            f"problem {bvp.problem.name!r} does not provide derivative callbacks "
+            "(linearize_terms), which the Newton iteration needs"
+        )
     sys = _System(bvp)
     state = _initial_state(sys, bvp)
-    r = sys.residual(state)
+    r, g = sys.evaluate(state)
     rnorm = float(np.abs(r).max())
     iterations = 0
     while rnorm > tol:
@@ -258,32 +393,24 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
                 f"no convergence after {max_iters} iterations "
                 f"(residual {rnorm:.3e})", rnorm,
             )
-        jac = _fd_jacobian(sys, state, r)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                "singular collocation Jacobian; supply a better initial guess "
-                "or a different phase reference"
-            ) from exc
+        step = _step(sys.jacobian(state, g), r)
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = state + lam * step
-            rt = sys.residual(trial)
+            rt, gt = sys.evaluate(trial)
             tnorm = float(np.abs(rt).max())
             if np.isfinite(tnorm) and tnorm < rnorm:
                 break
             lam *= 0.5
-        state, r, rnorm = trial, rt, tnorm
+        state, r, g, rnorm = trial, rt, gt, tnorm
         iterations += 1
 
     period = float(state[-1])
     if period <= 0:
         raise ConvergenceError(f"converged to a nonpositive period {period}", rnorm)
-    pieces = sys.nodal_view(state[:-1])
     solution = PiecewiseSolution(
-        breakpoints=period * sys.mesh.breakpoints,
-        values=pieces.copy(),
+        breakpoints=period * sys.side.breakpoints,
+        values=sys.nodal_view(state[:-1]),
         node_kind=UNIFORM,
     )
     return BvpResult(
@@ -291,13 +418,3 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
         residual_norm=rnorm, converged=True,
     )
 
-
-def _fd_jacobian(sys: _System, state: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    n = state.size
-    jac = np.empty((n, n))
-    for i in range(n):
-        delta = FD_STEP * max(1.0, abs(state[i]))
-        pert = state.copy()
-        pert[i] += delta
-        jac[:, i] = (sys.residual(pert) - r0) / delta
-    return jac

@@ -63,12 +63,11 @@ class RunConfig:
     output: str | None = None
 
     def hash(self) -> str:
-        # where the output goes does not change what is computed
-        skip = {"output"}
-        lines = [
-            f"{key}={vars(self)[key]!r}"
-            for key in sorted(vars(self)) if key not in skip
-        ]
+        # where the output goes does not change what is computed, and the
+        # parameters are hashed in name order, not in the order they were set
+        fields = dict(vars(self), params=dict(sorted(self.params.items())))
+        del fields["output"]
+        lines = [f"{key}={fields[key]!r}" for key in sorted(fields)]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "Builtin",
     "builtin",
     "linearize",
+    "term_values",
     "sample_solution",
     "plant_v0",
     "coupled_view_of_plant",
@@ -299,6 +300,27 @@ class Builtin:
 
 class MissingDerivativesError(ValueError):
     pass
+
+
+def term_values(term, p: int, q: int, *args) -> np.ndarray:
+    """Call a term's coefficient (or kernel) at ``args`` and check that it
+    is elementwise: shape ``args[0].shape + (p, q)``."""
+    if isinstance(term, DiscreteTerm):
+        fn = term.coeff
+        what = (f"coefficient of the discrete term {term.source} -> {term.target} "
+                f"(delay {term.delay!r})")
+    else:
+        fn = term.kernel
+        what = (f"kernel of the distributed term {term.source} -> {term.target} "
+                f"on [{term.lower!r}, {term.upper!r}]")
+    out = np.asarray(fn(*args), dtype=float)
+    want = np.shape(args[0]) + (p, q)
+    if out.shape != want:
+        raise ValueError(
+            f"{what} returned shape {out.shape}, expected {want}: "
+            "callbacks are elementwise (arrays of times in, shape + (p, q) out)"
+        )
+    return out
 
 
 def _solution_access(solution):

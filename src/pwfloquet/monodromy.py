@@ -61,7 +61,7 @@ from .mesh import (
     NodeFamily,
     build_grid,
 )
-from .model import DiscreteTerm, LinearPeriodicEquation
+from .model import LinearPeriodicEquation, term_values
 
 __all__ = [
     "MonodromyDiscretization",
@@ -198,17 +198,11 @@ class _Assembler:
         # points per batch of dense weight rows, bounding their memory
         self.batch = max(1, BATCH_ENTRIES // (nh + nf))
 
-    def evaluate(self, term, fn, *args) -> np.ndarray:
+    def evaluate(self, term, *args) -> np.ndarray:
         """Call a coefficient or kernel callback and check its shape."""
         eq = self.eq
-        out = np.asarray(fn(*args), dtype=float)
-        want = np.shape(args[0]) + (eq.block_dim(term.target), eq.block_dim(term.source))
-        if out.shape != want:
-            raise ValueError(
-                f"{_describe(term)} returned shape {out.shape}, expected {want}: "
-                "callbacks are elementwise (arrays of times in, shape + (p, q) out)"
-            )
-        return out
+        return term_values(term, eq.block_dim(term.target), eq.block_dim(term.source),
+                           *args)
 
     def weights(self, source: str, side: str, s: np.ndarray):
         """Dense rows reconstructing the source block's state at times ``s``.
@@ -265,7 +259,7 @@ class _Assembler:
         t = grid.forward.nodes
         # fixed-point rows: the equation collocated at every forward node
         for term in eq.discrete:
-            coeff = self.evaluate(term, term.coeff, t)
+            coeff = self.evaluate(term, t)
             self.add_at_times(self.A1, self.A2, term.target, term.source, coeff,
                               t - term.delay)
         for term in eq.distributed:
@@ -276,7 +270,7 @@ class _Assembler:
             for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
                                (grid.forward, np.maximum(lo, 0.0), hi)):
                 owner, s, w = window_rule(side, a, b)
-                kern = self.evaluate(term, term.kernel, t[owner], s - t[owner])
+                kern = self.evaluate(term, t[owner], s - t[owner])
                 self.add(self.A1, self.A2, term.target, term.source, owner,
                          w[:, None, None] * kern, side.label, s)
         # end-state rows: the reconstructed state at omega + theta
@@ -295,14 +289,6 @@ def _dense(n: int, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.zeros((cols.shape[0], n))
     np.put_along_axis(out, cols, w, axis=1)
     return out
-
-
-def _describe(term) -> str:
-    if isinstance(term, DiscreteTerm):
-        return (f"coefficient of the discrete term {term.source} -> {term.target} "
-                f"(delay {term.delay!r})")
-    return (f"kernel of the distributed term {term.source} -> {term.target} "
-            f"on [{term.lower!r}, {term.upper!r}]")
 
 
 def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,

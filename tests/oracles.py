@@ -6,11 +6,42 @@ interpolated history, and quadrature checks go through scipy's adaptive
 routines. ``orbit_guess_per_call`` keeps the straightforward per-call history
 evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
 ``dense_monodromy`` forms the monodromy matrix by a dense LU of ``I - A2``,
-ignoring its causal block structure.
+ignoring its causal block structure. ``fd_jacobian`` and
+``central_jacobian`` differentiate the BVP residual column by column, the
+way the periodic solver did before it assembled its Jacobian analytically.
 """
 
 import numpy as np
 import scipy.linalg
+
+
+FD_STEP = 1e-7
+
+
+def fd_jacobian(sys, state, r0, step=FD_STEP):
+    """Forward-difference Jacobian of ``sys.residual`` at ``state``, where
+    ``r0`` is the residual there: one residual call per unknown."""
+    n = state.size
+    jac = np.empty((n, n))
+    for i in range(n):
+        delta = step * max(1.0, abs(state[i]))
+        pert = state.copy()
+        pert[i] += delta
+        jac[:, i] = (sys.residual(pert) - r0) / delta
+    return jac
+
+
+def central_jacobian(sys, state, step=1e-5):
+    """Central-difference Jacobian of ``sys.residual`` at ``state``."""
+    n = state.size
+    jac = np.empty((n, n))
+    for i in range(n):
+        delta = step * max(1.0, abs(state[i]))
+        up, down = state.copy(), state.copy()
+        up[i] += delta
+        down[i] -= delta
+        jac[:, i] = (sys.residual(up) - sys.residual(down)) / (2 * delta)
+    return jac
 
 
 def dense_monodromy(blocks):

@@ -8,13 +8,19 @@ from pwfloquet.bvp import (
     residual,
     solve_periodic,
 )
-from pwfloquet.mesh import Mesh
+from pwfloquet.mesh import Mesh, read_mesh
 from pwfloquet.model import (
+    DiscreteTerm,
+    MissingDerivativesError,
     NonlinearProblem,
     builtin,
+    coupled_view_of_plant,
+    data_path,
     read_solution,
     write_solution,
 )
+
+from oracles import central_jacobian, fd_jacobian
 
 
 def quadratic_re_bvp(L=20, m=6):
@@ -109,6 +115,8 @@ class TestSingularCases:
         prob = NonlinearProblem(
             name="null", kind="dde", d_x=0, d_y=1, tau=1.0,
             rhs=lambda u: 0.0 * u(0.0),
+            linearize_terms=lambda ev, omega: (
+                (DiscreteTerm("y", "y", 0.0, np.zeros((1, 1))),), ()),
         )
         bvp = BvpProblem(
             problem=prob, mesh=Mesh(np.linspace(0, 1, 5)), degree=2,
@@ -222,3 +230,117 @@ class TestRoundTripResidual:
         r2 = residual(bvp, flat2.ravel(), res.period)
         assert np.array_equal(r1, r2)
         assert np.abs(r1).max() <= max(res.residual_norm * 1.0001, 1e-12)
+
+
+def plant_bvp(name="plant", degree=5):
+    """The shipped plant orbit on its adapted mesh (coupled layout for
+    plant-coupled)."""
+    orbit = read_solution(data_path("plant_solution.sol"))
+    if name == "plant-coupled":
+        orbit = coupled_view_of_plant(orbit)
+    return BvpProblem(
+        problem=builtin(name).problem, mesh=read_mesh(data_path("plant_adapted.mesh")),
+        degree=degree, period_guess=orbit.omega, guess_profile=orbit,
+    )
+
+
+def sine_logistic_bvp():
+    return BvpProblem(
+        problem=builtin("logistic", r=1.6).problem, mesh=Mesh(np.linspace(0, 1, 13)),
+        degree=4, period_guess=4.0,
+        guess_profile=lambda s: 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(s)),
+    )
+
+
+def _relative_errors(jac, ref):
+    """Largest entry of ``jac - ref`` over the largest entry of ``ref``, for
+    the nodal columns and for the period column separately."""
+    return [float(np.abs(jac[:, c] - ref[:, c]).max() / np.abs(ref[:, c]).max())
+            for c in (np.s_[:-1], np.s_[-1:])]
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("make", [sine_logistic_bvp, plant_bvp],
+                             ids=["logistic", "plant"])
+    def test_matches_finite_differences(self, make):
+        from pwfloquet.bvp import _System, _initial_state
+        bvp = make()
+        sys = _System(bvp)
+        state = _initial_state(sys, bvp)
+        rng = np.random.default_rng(3)
+        state[:-1] += 1e-3 * rng.normal(size=state.size - 1)
+        state[-1] *= 1.003
+        r, g = sys.evaluate(state)
+        assert np.abs(r).max() > 1e-4  # far from converged
+        jac = sys.jacobian(state, g)
+        # steps relative to each unknown; at FD_STEP the forward difference
+        # of plant's period column (period near 51) has a truncation error of
+        # 6e-6 itself, ten times less at 1e-8
+        assert max(_relative_errors(jac, fd_jacobian(sys, state, r, step=1e-8))) <= 1e-6
+        assert max(_relative_errors(jac, central_jacobian(sys, state, step=3e-7))) <= 1e-8
+
+    @pytest.mark.parametrize("L, m, period, amp", [
+        (15, 4, 4.1, 0.05),
+        # without the damping term of the step these two end in a
+        # ConvergenceError and at a period of 4.0439
+        (16, 4, 4.5, 0.15),
+        (12, 2, 4.2, 0.1),
+    ])
+    def test_quadratic_re_singular_collocation_converges(self, L, m, period, amp):
+        # renewal rows on continuous elements: the collocation Jacobian of
+        # quadratic-re is singular on these meshes (a consistent system whose
+        # solutions are not isolated), which the step must survive
+        b = builtin("quadratic-re", gamma=4.0)
+        bvp = BvpProblem(
+            problem=b.problem, mesh=Mesh(np.linspace(0, 1, L + 1)), degree=m,
+            period_guess=period,
+            guess_profile=lambda s: b.exact(4.0 * np.asarray(s))
+            + amp * np.cos(2 * np.pi * np.asarray(s))[..., None],
+        )
+        res = solve_periodic(bvp)
+        assert res.residual_norm <= 1e-10
+        assert abs(res.period - 4.0) <= 1e-9
+
+    def test_plant_coupled_converges(self):
+        res = solve_periodic(plant_bvp("plant-coupled"))
+        assert res.residual_norm <= 1e-10
+        assert res.period == pytest.approx(50.7326257, rel=1e-8)
+
+    def test_problem_without_derivatives_is_rejected(self):
+        b = builtin("logistic", r=1.6)
+        prob = NonlinearProblem(name="bare", kind="dde", d_x=0, d_y=1, tau=1.0,
+                                rhs=b.problem.rhs)
+        bvp = sine_logistic_bvp()
+        bvp.problem = prob
+        with pytest.raises(MissingDerivativesError, match="bare"):
+            solve_periodic(bvp)
+
+    def test_constant_phase_reference_is_singular(self):
+        bvp = sine_logistic_bvp()
+        bvp.phase_reference = lambda s: np.ones(np.shape(s))
+        with pytest.raises(SingularJacobianError):
+            solve_periodic(bvp)
+
+
+class TestInitialProfile:
+    def test_profile_is_called_once_at_every_node(self):
+        from pwfloquet.bvp import _System, _initial_state
+        calls = []
+
+        def profile(s):
+            calls.append(np.shape(s))
+            return 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(s))
+
+        bvp = sine_logistic_bvp()
+        bvp.guess_profile = profile
+        bvp.phase_reference = profile
+        sys = _System(bvp)
+        state = _initial_state(sys, bvp)
+        assert calls == [(12 * 4 + 1,)] * 2  # the phase reference, then the guess
+        assert np.array_equal(state[:-1], profile(sys.side.nodes))
+
+    def test_wrong_profile_shape_is_named(self):
+        bvp = plant_bvp()
+        bvp.guess_profile = lambda s: np.zeros(np.shape(s) + (3,))
+        with pytest.raises(ValueError, match=r"\(151, 3\).*\(151, 2\)"):
+            solve_periodic(bvp)

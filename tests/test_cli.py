@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwfloquet.cli import main
+from pwfloquet.cli import _apply_overrides, _build_parser, _load_config, main
 from pwfloquet.model import data_path, read_solution
 
 
@@ -192,3 +192,28 @@ class TestExitCodes:
         # below the Hopf point the orbit guess decays to the equilibrium
         assert run(["multipliers", "--problem", "logistic", "--r", "1.0"]) == 2
         assert "convergence failure" in capsys.readouterr().err
+
+
+class TestConfigHash:
+    def test_parameter_order_does_not_change_the_hash(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[problem]\nname = logistic\ntau = 1\n")
+        parser = _build_parser()
+        from_file = _apply_overrides(
+            _load_config(str(ini)),
+            parser.parse_args(["solve", "--config", str(ini), "--r", "1.6"]))
+        from_flags = _apply_overrides(
+            _load_config(None),
+            parser.parse_args(["solve", "--problem", "logistic", "--r", "1.6",
+                               "--tau", "1"]))
+        assert list(from_file.params) == ["tau", "r"]
+        assert list(from_flags.params) == ["r", "tau"]
+        assert vars(from_file) == vars(from_flags)
+        assert from_file.hash() == from_flags.hash()
+
+    def test_single_parameter_hash_is_unchanged(self):
+        # the README logistic command; its hash predates the sorting
+        args = _build_parser().parse_args(
+            ["multipliers", "--problem", "logistic", "--r", "1.6",
+             "--mesh", "solution", "-M", "4"])
+        assert _apply_overrides(_load_config(None), args).hash() == "1748916c13371c15"

@@ -5,6 +5,8 @@ import hypothesis.strategies as st
 
 from pwfloquet.mesh import (
     CHEBYSHEV,
+    COINCIDENCE_RTOL,
+    SLIVER_RTOL,
     UNIFORM,
     Mesh,
     build_forward_grid,
@@ -129,6 +131,20 @@ class TestHistoryGrid:
         assert h.nodes[-1] == 0.0
         assert abs(h.nodes[0] + tau) <= 1e-12 * max(1.0, mesh.span)
         assert np.all(np.diff(h.nodes) > 0)
+
+
+    @given(mesh=meshes(), kind=st.sampled_from([CHEBYSHEV, UNIFORM]),
+           m=st.integers(1, 8), tau=st.floats(0.01, 20.0))
+    @settings(max_examples=80)
+    def test_covers_history_without_long_gaps(self, mesh, kind, m, tau):
+        h = build_history_grid(mesh, reference_nodes(kind, m), tau=tau)
+        omega = mesh.span
+        assert abs(h.nodes[0] + tau) <= COINCIDENCE_RTOL * max(1.0, omega)
+        assert h.nodes[-1] == 0.0
+        gaps = np.diff(h.nodes)
+        assert np.all(gaps > 0)
+        # a merged sliver may lengthen one piece by up to SLIVER_RTOL * omega
+        assert gaps.max() <= mesh.widths.max() + SLIVER_RTOL * omega
 
 
 class TestMeshRatio:
