@@ -141,35 +141,25 @@ class GridSide:
     label: str
     breakpoints: np.ndarray
     family: NodeFamily
-    piece_nodes: tuple[np.ndarray, ...]
     nodes: np.ndarray
 
     @property
     def P(self) -> int:
-        return len(self.piece_nodes)
+        return self.breakpoints.size - 1
 
     @property
     def n(self) -> int:
         return self.nodes.size
 
-    @property
-    def lo(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.breakpoints[-1])
-
-    def piece_of(self, t, tol: float | None = None):
+    def piece_of(self, t):
         """Index of the piece containing ``t`` (elementwise for arrays).
 
         Evaluation exactly at a breakpoint uses the left piece (the right
         piece for the interval start); ``t`` may sit outside the interval by
-        at most ``tol``.
+        ``COINCIDENCE_RTOL`` relative to its largest endpoint modulus.
         """
         b = self.breakpoints
-        if tol is None:
-            tol = COINCIDENCE_RTOL * max(1.0, abs(b[0]), abs(b[-1]))
+        tol = COINCIDENCE_RTOL * max(1.0, abs(b[0]), abs(b[-1]))
         if np.any((t < b[0] - tol) | (t > b[-1] + tol)):
             raise ValueError(
                 f"{t!r} outside the {self.label} interval [{b[0]!r}, {b[-1]!r}]"
@@ -207,7 +197,6 @@ def _finish_side(label: str, pieces: list[np.ndarray], family: NodeFamily) -> Gr
         label=label,
         breakpoints=_readonly(breakpoints),
         family=family,
-        piece_nodes=tuple(_readonly(p) for p in pieces),
         nodes=_readonly(nodes),
     )
 
@@ -221,10 +210,9 @@ def build_forward_grid(mesh: Mesh, family: NodeFamily) -> GridSide:
     return _finish_side("forward", pieces, family)
 
 
-def build_history_grid(
-    mesh: Mesh, family: NodeFamily, tau: float, omega: float | None = None
-) -> GridSide:
-    """Grid ``[-tau, 0]`` by shifting the forward pieces left by ``k * omega``.
+def build_history_grid(mesh: Mesh, family: NodeFamily, tau: float) -> GridSide:
+    """Grid ``[-tau, 0]`` by shifting the forward pieces left by ``k * omega``,
+    with ``omega`` the last breakpoint of ``mesh``.
 
     Walks windows ``k = 1, 2, ...`` right to left, copying shifted pieces
     until ``-tau`` is reached. If ``-tau`` falls strictly inside a shifted
@@ -235,13 +223,9 @@ def build_history_grid(
     b = mesh.breakpoints
     if b[0] != 0.0:
         raise ValueError("mesh must span [0, omega]: first breakpoint is not 0")
-    span = float(b[-1])
-    if omega is None:
-        omega = span
-    elif abs(omega - span) > COINCIDENCE_RTOL * max(1.0, abs(omega)):
-        raise ValueError("mesh does not span [0, omega]")
-    if tau <= 0.0 or omega <= 0.0:
-        raise ValueError("tau and omega must be positive")
+    omega = float(b[-1])
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
 
     ctol = COINCIDENCE_RTOL * max(1.0, omega)
     stol = SLIVER_RTOL * omega
@@ -274,11 +258,10 @@ def build_history_grid(
 
 def build_grid(mesh: Mesh, family: NodeFamily, tau: float) -> CollocationGrid:
     """Assemble both grid sides for a period interval ``[0, omega]``."""
-    forward = build_forward_grid(mesh, family)
-    omega = float(mesh.breakpoints[-1])
-    history = build_history_grid(mesh, family, tau, omega)
     return CollocationGrid(
-        forward=forward, history=history, omega=omega, tau=float(tau),
+        forward=build_forward_grid(mesh, family),
+        history=build_history_grid(mesh, family, tau),
+        omega=float(mesh.breakpoints[-1]), tau=float(tau),
         mesh=mesh, family=family,
     )
 

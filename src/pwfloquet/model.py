@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("logistic", "tent", "quadratic-re", "plant", "plant-coupled")
+# integrate_orbit_guess averages the period over this many last oscillations
+PERIODS_BACK = 3
 
 
 def _as_matrix_callback(c):
@@ -693,13 +695,13 @@ class _StepHistory:
 
 
 def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
-                          t_settle: float, step: float = 0.01,
-                          periods_back: int = 3):
+                          t_settle: float, step: float = 0.01):
     """Integrate a DDE to its attractor and cut out one period.
 
     Fixed-step RK4 with linearly interpolated dense history. The period is
-    estimated from the last upward crossings of component 0 through its
-    late-time average. Returns ``(profile over [0, 1], period estimate)``.
+    estimated from the last ``PERIODS_BACK + 1`` upward crossings of
+    component 0 through its late-time average. Returns ``(profile over
+    [0, 1], period estimate)``.
 
     The history is evaluated by the method of steps. The steps are walked in
     blocks of ``K = max(1, floor(tau / step) - 1)``. The first request for a
@@ -766,10 +768,10 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     sig = ys[tail, 0] - level
     tt = ts[tail]
     up = np.nonzero((sig[:-1] < 0) & (sig[1:] >= 0))[0]
-    if up.size < periods_back + 1:
+    if up.size < PERIODS_BACK + 1:
         raise RuntimeError("not enough oscillations to estimate a period; integrate longer")
     cross = tt[up] - sig[up] * (tt[up + 1] - tt[up]) / (sig[up + 1] - sig[up])
-    period = float(np.mean(np.diff(cross[-(periods_back + 1):])))
+    period = float(np.mean(np.diff(cross[-(PERIODS_BACK + 1):])))
     t0 = float(cross[-1] - period)
 
     def profile(s):

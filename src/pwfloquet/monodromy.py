@@ -36,11 +36,6 @@ block forward and back substitution) against ``||I - A2||_1`` gives
 ``rcond``, which must reach ``1e-14``; a per-piece ``rcond`` alone would be
 far weaker, so it only names the worst piece in the error message.
 
-All matrix work in the substitution loop goes through numpy's BLAS only.
-numpy and scipy each load their own OpenBLAS, and alternating calls between
-the two thread pools stall each other on small hosts: on 2 vCPUs the solve
-for quadratic-RE at L = 40, M = 15 took 20x longer with scipy's LU per piece.
-
 ``multipliers`` computes eigenvalues only; ``eigenfunction`` computes the
 eigenvectors when asked. The thresholds of the verdict are module constants.
 """
@@ -52,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .interp import NodalFunction, integral_weights, prolong_pairs, window_rule
 from .mesh import (
@@ -122,13 +116,16 @@ class MonodromyDiscretization:
     def dim(self) -> int:
         return self.T.shape[0]
 
+    # numpy returns real arrays when every eigenvalue is real; the
+    # multipliers are complex128 regardless
     @cached_property
     def _eigvals(self) -> np.ndarray:
-        return _modulus_sorted(scipy.linalg.eigvals(self.T))
+        return _modulus_sorted(np.linalg.eigvals(self.T).astype(complex))
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return scipy.linalg.eig(self.T)
+        vals, vecs = np.linalg.eig(self.T)
+        return vals.astype(complex), vecs
 
 
 @dataclass(frozen=True, eq=False)

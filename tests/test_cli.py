@@ -217,3 +217,47 @@ class TestConfigHash:
             ["multipliers", "--problem", "logistic", "--r", "1.6",
              "--mesh", "solution", "-M", "4"])
         assert _apply_overrides(_load_config(None), args).hash() == "1748916c13371c15"
+
+
+NUMPY_ONLY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+import numpy as np
+import pwfloquet
+from pwfloquet import (Mesh, chebyshev_family, builtin, linearize, assemble,
+                       multipliers, eigenfunction)
+from pwfloquet.cli import main
+
+qre = builtin("quadratic-re", gamma=4.0)
+eq = linearize(qre.problem, qre.exact)
+disc = assemble(eq, Mesh(np.linspace(0, 4, 5)), chebyshev_family(15))
+ms = multipliers(disc)
+assert abs(ms.trivial() - 1.0) < 1e-12 and ms.verdict == "stable"
+eigenfunction(disc, 1)
+code = main(["multipliers", "--problem", "logistic", "--r", "1.6",
+             "--mesh", "solution", "-M", "4"])
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+assert not loaded, loaded
+sys.exit(code)
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_runs_without_scipy(self):
+        # the library's only runtime dependency is numpy: the README example,
+        # an eigenfunction and the README multipliers command run with scipy
+        # made unimportable
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pwfloquet
+
+        env = dict(os.environ, PYTHONPATH=str(Path(pwfloquet.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "re,im,modulus,is_trivial,flag" in proc.stdout

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,29 +250,47 @@ class TestPiecewiseExactness:
     @given(data=st.data(), m=st.integers(1, 8))
     @settings(max_examples=40)
     def test_reproduces_piecewise_polynomials(self, data, m):
+        # nodal samples and reference values are exact rationals rounded
+        # once, so the bound measures the interpolation's rounding only
         pts = [0.0, 0.8, 1.7, 3.0]
         side = forward(pts, reference_nodes(CHEBYSHEV, m))
         polys = []
         for i in range(3):
-            c = data.draw(st.lists(st.floats(-1, 1), min_size=m + 1, max_size=m + 1))
-            p = np.polynomial.Polynomial(c)
+            c = [Fraction(x) for x in data.draw(
+                st.lists(st.floats(-1, 1), min_size=m + 1, max_size=m + 1))]
             if polys:
                 # shift the constant term so the function stays continuous
-                p = p + (polys[-1](pts[i]) - p(pts[i]))
-            polys.append(p)
+                c[0] += _exact(polys[-1], pts[i]) - _exact(_Poly(c), pts[i])
+            polys.append(_Poly(c))
 
-        def f(t):
-            i = min(np.searchsorted(pts, t, side="right") - 1, 2)
-            i = max(i, 0)
-            return polys[i](t)
+        def piece(t):
+            return np.clip(np.searchsorted(pts, t, side="right") - 1, 0, 2)
 
-        v = restrict(f, side)
-        rng = np.random.default_rng(11)
-        ts = rng.uniform(0.0, 3.0, size=1000)
+        v = restrict(lambda t: float(_exact(polys[piece(t)], t)), side)
+        ts = np.random.default_rng(11).uniform(0.0, 3.0, size=1000)
+        cols, w = prolong_pairs(side, ts)
+        got = np.einsum("tk,tk->t", w, v.values[cols, 0])
+        want = [float(_exact(polys[i], t)) for i, t in zip(piece(ts), ts.tolist())]
         scale = max(1.0, np.abs(v.values).max())
-        for t in ts:
-            i = min(max(np.searchsorted(pts, t, side="right") - 1, 0), 2)
-            assert abs(prolong_eval(v, t)[0] - polys[i](t)) <= 10 * EPS * scale
+        assert np.abs(got - want).max() <= 10 * EPS * scale
+
+
+class _Poly:
+    """Polynomial with rational coefficients as integers over one denominator."""
+
+    def __init__(self, coeffs):
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.nums = [c.numerator * (self.den // c.denominator) for c in reversed(coeffs)]
+
+
+def _exact(poly: _Poly, t: float) -> Fraction:
+    """Value of ``poly`` at ``t``, exactly (Horner's rule in integers)."""
+    n, d = t.as_integer_ratio()
+    acc, dpow = 0, 1
+    for c in poly.nums:
+        acc = acc * n + c * dpow
+        dpow *= d
+    return Fraction(acc, poly.den * (dpow // d))
 
 
 class TestDerivativeMatrix:

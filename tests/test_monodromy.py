@@ -172,6 +172,19 @@ class TestEigenfunction:
         assert np.allclose(np.abs(e0), [1.0, 0.0])
         assert np.allclose(np.abs(e1), [0.0, 1.0])
 
+    def test_real_spectrum_stays_complex(self):
+        # y' = y / 2 with an inert delay: every eigenvalue of T is real, and
+        # numpy's eigensolvers then return float64
+        eq = scalar_dde([(0.0, 0.5)], omega=1.0, tau=1.0)
+        disc = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(6))
+        assert np.linalg.eigvals(disc.T).dtype == np.float64
+        ms = multipliers(disc)
+        assert ms.values.dtype == np.complex128
+        assert disc._eig[0].dtype == np.complex128
+        assert abs(ms.dominant() - np.exp(0.5)) <= 1e-8
+        v = eigenfunction(disc, 0).values[:, 0]
+        assert np.allclose(disc.T @ v, ms.values[0] * v)
+
     def test_trivial_eigenfunction_is_solution_derivative(self):
         # renewal case with the closed-form solution: the multiplier-1
         # eigenfunction is proportional to the derivative segment
