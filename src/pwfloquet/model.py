@@ -47,6 +47,11 @@ __all__ = [
 BUILTIN_NAMES = ("logistic", "tent", "quadratic-re", "plant", "plant-coupled")
 # integrate_orbit_guess averages the period over this many last oscillations
 PERIODS_BACK = 3
+# RK4 step of integrate_orbit_guess; the guess only has to seed Newton
+ORBIT_STEP = 0.05
+# integrate_orbit_guess fails when the range of component 0 over the second
+# half of its tail is below this fraction of the range over the first half
+DECAY_RATIO = 0.5
 
 
 def _as_matrix_callback(c):
@@ -435,7 +440,7 @@ def _logistic(r: float = 1.6) -> Builtin:
     def make_guess():
         # a plain sinusoid guess can collapse onto the unstable equilibrium,
         # so integrate to the attractor instead
-        return integrate_orbit_guess(problem, np.array([1.15]), t_settle=250.0)
+        return integrate_orbit_guess(problem, np.array([1.15]), t_settle=100.0)
 
     return Builtin(
         name="logistic", params={"r": r}, problem=problem, make_guess=make_guess,
@@ -695,22 +700,26 @@ class _StepHistory:
 
 
 def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
-                          t_settle: float, step: float = 0.01):
+                          t_settle: float):
     """Integrate a DDE to its attractor and cut out one period.
 
-    Fixed-step RK4 with linearly interpolated dense history. The period is
-    estimated from the last ``PERIODS_BACK + 1`` upward crossings of
-    component 0 through its late-time average. Returns ``(profile over
-    [0, 1], period estimate)``.
+    Fixed-step RK4 (step ``ORBIT_STEP``) with linearly interpolated dense
+    history. The period is estimated from the last ``PERIODS_BACK + 1``
+    upward crossings of component 0 through its late-time average. Returns
+    ``(profile over [0, 1], period estimate)``. Raises ``RuntimeError`` when
+    the tail holds too few crossings or the oscillation decays: the range of
+    component 0 over the second half of the tail is below ``DECAY_RATIO``
+    times its range over the first half, as below a Hopf point.
 
     The history is evaluated by the method of steps. The steps are walked in
-    blocks of ``K = max(1, floor(tau / step) - 1)``. The first request for a
-    ``theta`` in a block interpolates the history known at the block start
-    at all ``4 K`` stage times of the block at once; later stages of the
-    block index that memo. If some of those times lie past the known history
-    (a delay shorter than about ``K`` steps), that ``theta`` is interpolated
-    per call against the steps accepted so far. Both give the value of a
-    per-call linear interpolation of the accepted steps, bit for bit.
+    blocks of ``K = max(1, floor(tau / step) - 1)``, ``step = ORBIT_STEP``.
+    The first request for a ``theta`` in a block interpolates the history
+    known at the block start at all ``4 K`` stage times of the block at
+    once; later stages of the block index that memo. If some of those times
+    lie past the known history (a delay shorter than about ``K`` steps),
+    that ``theta`` is interpolated per call against the steps accepted so
+    far. Both give the value of a per-call linear interpolation of the
+    accepted steps, bit for bit.
 
     Only a scalar ``theta == 0`` returns the current stage value. The history
     holds accepted steps only and holds the last one's value beyond it, so
@@ -727,6 +736,7 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
             f"y0 has shape {y.shape}, expected ({d},) for the {d}-dimensional "
             f"problem {problem.name!r}"
         )
+    step = ORBIT_STEP
     nhist = int(np.ceil(tau / step)) + 1
     nsteps = int(np.ceil(t_settle / step))
     ts = np.empty(nhist + nsteps)
@@ -770,6 +780,12 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     up = np.nonzero((sig[:-1] < 0) & (sig[1:] >= 0))[0]
     if up.size < PERIODS_BACK + 1:
         raise RuntimeError("not enough oscillations to estimate a period; integrate longer")
+    half = sig.size // 2
+    ratio = np.ptp(sig[half:]) / np.ptp(sig[:half])
+    if ratio < DECAY_RATIO:
+        raise RuntimeError(
+            "not enough oscillations to estimate a period: the oscillation decays "
+            f"(range ratio {ratio:.2g} over the tail halves, below {DECAY_RATIO})")
     cross = tt[up] - sig[up] * (tt[up + 1] - tt[up]) / (sig[up + 1] - sig[up])
     period = float(np.mean(np.diff(cross[-(PERIODS_BACK + 1):])))
     t0 = float(cross[-1] - period)

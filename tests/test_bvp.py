@@ -195,6 +195,18 @@ class TestLogisticSolve:
                               options={"xtol": 1e-12})
         assert out.fun <= 1e-8
 
+    # periods Newton reaches from a fine guess (RK4 step 0.01 over 250 time
+    # units); the coarse, short guess must land in the same basin
+    @pytest.mark.parametrize("r, period", [
+        (1.6, 4.0204004086915015),
+        (2.3, 4.894139109284195),
+    ])
+    def test_coarse_seed_reaches_the_fine_seed_orbit(self, r, period):
+        _, bvp = logistic_bvp(r, 40, 4)
+        res = solve_periodic(bvp)
+        assert res.iterations <= 8
+        assert res.period == pytest.approx(period, rel=1e-9)
+
 
 class TestAlternativeSettings:
     def test_chebyshev_collocation_nodes(self):

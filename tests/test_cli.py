@@ -193,6 +193,13 @@ class TestExitCodes:
         assert run(["multipliers", "--problem", "logistic", "--r", "1.0"]) == 2
         assert "convergence failure" in capsys.readouterr().err
 
+    def test_decaying_orbit_guess_is_convergence_failure(self, capsys):
+        # below the Hopf point the equilibrium must not pass for a periodic orbit
+        argv = ["multipliers", "--problem", "logistic", "--r", "1.2",
+                "--mesh", "solution", "-M", "4"]
+        assert run(argv) == 2
+        assert "convergence failure" in capsys.readouterr().err
+
 
 class TestConfigHash:
     def test_parameter_order_does_not_change_the_hash(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 from pwfloquet.mesh import Mesh
 from pwfloquet.model import (
+    ORBIT_STEP,
     DiscreteTerm,
     DistributedTerm,
     LinearPeriodicEquation,
@@ -326,8 +328,9 @@ class TestOrbitGuess:
     def test_bit_identical_to_per_call_evaluator(self, problem, y0, t_settle):
         counted, calls = _counting(problem)
         profile, period = integrate_orbit_guess(counted, np.array(y0), t_settle)
-        assert len(calls) == 4 * round(t_settle / 0.01)
-        ref_profile, ref_period = orbit_guess_per_call(problem, np.array(y0), t_settle)
+        assert len(calls) == 4 * math.ceil(t_settle / ORBIT_STEP)
+        ref_profile, ref_period = orbit_guess_per_call(problem, np.array(y0), t_settle,
+                                                       step=ORBIT_STEP)
         assert period == ref_period
         assert np.array_equal(profile(self.S), ref_profile(self.S))
 
@@ -353,3 +356,9 @@ class TestOrbitGuess:
     def test_below_hopf_point_has_no_period(self):
         with pytest.raises(RuntimeError, match="not enough oscillations"):
             builtin("logistic", r=1.0).make_guess()
+
+    def test_decaying_oscillation_has_no_period(self):
+        # r = 1.2 is below the Hopf point r = pi/2: the tail still crosses
+        # its mean often enough, but the oscillation decays to the equilibrium
+        with pytest.raises(RuntimeError, match="oscillation decays"):
+            builtin("logistic", r=1.2).make_guess()
