@@ -29,10 +29,8 @@ from .interp import (
     BaryTable,
     NodalFunction,
     bary_table,
+    breakpoint_weights,
     integral_weights,
-    kernel_quadrature,
-    prolong_eval,
-    prolong_weights,
     restrict,
 )
 from .model import (

@@ -139,6 +139,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _get_builtin(cfg: RunConfig) -> model.Builtin:
     if not cfg.problem:
         raise ConfigError("no problem selected (use --problem or a config file)")
+    if not np.all(np.isfinite(list(cfg.params.values()))):
+        raise ConfigError(f"problem parameters must be finite: {cfg.params}")
     try:
         return model.builtin(cfg.problem, **cfg.params)
     except (ValueError, TypeError) as exc:
@@ -450,10 +452,20 @@ def main(argv=None) -> int:
             ref = args.reference or "self:2,120"
             return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError, configparser.Error) as exc:
-        # bad options, malformed files (INI files included), meshes missing a
-        # breakpoint in strict mode, and problems over the size cap are all
-        # input errors
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); stdout goes to devnull so
+        # that its flush at exit does not fail again
+        import os
+
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # not a file descriptor
+            pass
+        return EXIT_OK
+    except (ValueError, OSError, configparser.Error) as exc:
+        # bad options, unreadable or malformed input files (INI files
+        # included), unwritable outputs, meshes missing a breakpoint in strict
+        # mode, and problems over the size cap are all input errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

@@ -2,13 +2,13 @@
 
 Restriction samples a function at the grid nodes of one side; prolongation
 evaluates the continuous piecewise interpolant through those samples.
-``integral_weights`` integrates the interpolant exactly from the side's
-start, ``window_rule`` gives the quadrature points and weights of windows
-split at the side's breakpoints, and ``kernel_quadrature`` integrates a
-matrix kernel against the interpolant over one window. The weight builders
-are linear in the nodal data and take arrays of evaluation points: one
-``searchsorted`` locates all points, and one Lagrange evaluation serves them
-all.
+The interpolant's integral from the side's start splits into the integral up
+to the breakpoint left of the end point (``breakpoint_weights``) plus a
+partial-piece part (``integral_weights``); ``window_rule`` gives the
+quadrature points and weights of windows split at the side's breakpoints.
+The weight builders are linear in the nodal data and take arrays of
+evaluation points: one ``searchsorted`` locates all points, and one Lagrange
+evaluation serves them all.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ __all__ = [
     "NodalFunction",
     "bary_table",
     "restrict",
-    "prolong_eval",
     "prolong_pairs",
-    "prolong_weights",
     "integral_weights",
+    "breakpoint_weights",
     "window_rule",
-    "kernel_quadrature",
     "lagrange_matrix",
     "derivative_matrix_at",
 ]
@@ -45,7 +43,9 @@ class BaryTable:
     the reference nodes, which leaves the weights unchanged.
     ``antiderivative[j, k]`` is the integral of the j-th Lagrange basis from
     0 to node ``c_k``; ``quad`` is its last column (the full-piece
-    interpolatory quadrature weights, which sum to 1).
+    interpolatory quadrature weights, which sum to 1). ``anti_values[i, j]``
+    is that integral up to the i-th Chebyshev extremum of degree ``M + 1``,
+    enough to interpolate the degree ``M + 1`` antiderivatives exactly.
     """
 
     family: NodeFamily
@@ -53,8 +53,7 @@ class BaryTable:
     diff: np.ndarray
     antiderivative: np.ndarray
     quad: np.ndarray
-    gauss_x: np.ndarray
-    gauss_w: np.ndarray
+    anti_values: np.ndarray
 
 
 def _lagrange_rows(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -99,14 +98,16 @@ def _table(kind: str, degree: int) -> BaryTable:
     gx, gw = np.polynomial.legendre.leggauss(ng)
     gx = 0.5 * (gx + 1.0)
     gw = 0.5 * gw
-    anti = np.empty((m + 1, m + 1))
-    anti[:, 0] = 0.0
-    for k in range(1, m + 1):
-        anti[:, k] = c[k] * (gw @ _lagrange_rows(c, w, c[k] * gx))
+
+    def integrals_to(x):
+        basis = _lagrange_rows(c, w, (x[:, None] * gx).ravel())
+        return x[:, None] * (gw @ basis.reshape(x.size, ng, m + 1))
+
+    anti = integrals_to(c).T
     return BaryTable(
         family=fam, weights=w, diff=dmat,
         antiderivative=anti, quad=anti[:, -1].copy(),
-        gauss_x=gx, gauss_w=gw,
+        anti_values=integrals_to(reference_nodes(CHEBYSHEV, m + 1).nodes),
     )
 
 
@@ -197,45 +198,34 @@ def prolong_pairs(side: GridSide, t) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.where(hit.any(axis=-1, keepdims=True), hit, w)
 
 
-def prolong_weights(side: GridSide, t) -> np.ndarray:
-    """Dense weight vector over all global nodes realizing evaluation at t."""
-    cols, w = prolong_pairs(side, t)
-    out = np.zeros(cols.shape[:-1] + (side.n,))
-    np.put_along_axis(out, cols, w, axis=-1)
-    return out
+def integral_weights(side: GridSide, upper):
+    """Partial-piece weights of the exact integral of the interpolant on
+    ``[start, upper]``: (piece ``i`` containing ``upper``, columns, weights).
 
-
-def prolong_eval(v: NodalFunction, t: float) -> np.ndarray:
-    """Evaluate the piecewise interpolant of ``v`` at ``t``."""
-    cols, w = prolong_pairs(v.side, t)
-    return w @ v.values[cols]
-
-
-def integral_weights(side: GridSide, upper) -> np.ndarray:
-    """Weights realizing the exact integral of the interpolant on [start, upper].
-
-    Full-piece quadrature weights for pieces wholly inside, plus partial
-    antiderivative weights on the piece containing ``upper``. For an array
-    of endpoints the result has shape ``upper.shape + (n,)``.
-    """
+    The integral of nodal values ``v`` is ``breakpoint_weights(side)[i] @ v +
+    w @ v[cols]``, ``w`` holding antiderivative weights over the ``M + 1``
+    nodes of piece ``i``; ``i`` has the shape of ``upper``, ``cols`` and ``w``
+    one more axis."""
     upper = np.asarray(upper, dtype=float)
     i, c, cols = _locate(side, upper)
     table = bary_table(side.family)
+    h = np.diff(side.breakpoints)[i]
+    # the antiderivatives interpolated from anti_values, one point per row
+    # (a stack of vector-matrix products): no point depends on its batch
+    rows = lagrange_matrix(_table(CHEBYSHEV, table.family.degree + 1), c.ravel())
+    partial = (rows[:, None, :] @ table.anti_values).reshape(cols.shape)
+    return i, cols, h[..., None] * partial
+
+
+def breakpoint_weights(side: GridSide) -> np.ndarray:
+    """Weights of the exact integrals of the interpolant from the side's
+    start to each breakpoint: shape ``(P + 1, n)``, the first row zero."""
     m = side.family.degree
-    h = np.diff(side.breakpoints)
-    # weights of the integral from the start to each breakpoint, piece by piece
     pieces = np.arange(side.P)[:, None]
-    full = np.zeros((side.P, side.n))
-    full[pieces, pieces * m + np.arange(m + 1)] = h[:, None] * table.quad
-    cum = np.zeros_like(full)
-    np.cumsum(full[:-1], axis=0, out=cum[1:])
-    # partial piece: Gauss rule on [0, c], exact for the degree-M basis
-    basis = lagrange_matrix(table, (c[..., None] * table.gauss_x).ravel())
-    partial = c[..., None] * (table.gauss_w @ basis.reshape(c.shape + (-1, m + 1)))
-    w = cum[i]
-    local = np.take_along_axis(w, cols, axis=-1) + h[i][..., None] * partial
-    np.put_along_axis(w, cols, local, axis=-1)
-    return w
+    full = np.zeros((side.P + 1, side.n))
+    full[pieces + 1, pieces * m + np.arange(m + 1)] = (
+        np.diff(side.breakpoints)[:, None] * bary_table(side.family).quad)
+    return np.cumsum(full, axis=0)
 
 
 def window_rule(side: GridSide, lo, hi):
@@ -270,23 +260,3 @@ def window_rule(side: GridSide, lo, hi):
     points = u0[:, None] + width * table.family.nodes
     points[:, 0], points[:, -1] = u0, u1
     return np.repeat(owner, degree + 1), points.ravel(), (width * table.quad).ravel()
-
-
-def kernel_quadrature(side: GridSide, lo: float, hi: float, kernel) -> np.ndarray:
-    """Weights realizing ``int_lo^hi K(s) v(s) ds`` over the side's nodes.
-
-    ``kernel`` is elementwise: an array of points ``s`` in, an array of
-    shape ``s.shape + (p, q)`` out. The result has shape (p, q, n). The
-    window is split by :func:`window_rule`.
-    """
-    _, s, w = window_rule(side, lo, hi)
-    k = np.asarray(kernel(s), dtype=float)
-    if k.ndim != 3 or k.shape[0] != s.size:
-        raise ValueError(
-            f"kernel returned shape {k.shape} for {s.size} points; kernels are "
-            "elementwise: an array of points in, shape + (p, q) out"
-        )
-    cols, lw = prolong_pairs(side, s)
-    out = np.zeros((side.n,) + k.shape[1:])
-    np.add.at(out, cols, (w[:, None, None] * k)[:, None] * lw[..., None, None])
-    return np.moveaxis(out, 0, -1)

@@ -1,43 +1,33 @@
 """Finite-dimensional discretization of the monodromy operator.
 
 The operator maps a history segment on ``[-tau, 0]`` to the state one period
-later. It is represented through two coupled pieces of data: the history
-nodal vector ``Psi`` and the forward nodal vector ``Z`` holding, on
-``[0, omega]``, the derivative of the solution for differential blocks and
-the solution value itself for renewal blocks. Collocating the fixed point
-equation for ``Z`` at every forward node gives
+later. It is represented through the history nodal vector ``Psi`` and the
+forward nodal vector ``Z`` holding, on ``[0, omega]``, the derivative of the
+solution for differential blocks and the solution value itself for renewal
+blocks. Collocating the fixed point equation for ``Z`` at every forward node
+gives ``Z = A1 Psi + A2 Z``; the solution at ``omega + theta`` for every
+history node ``theta`` gives the end state ``T Psi = B1 Psi + B2 Z =
+(B1 + B2 (I - A2)^{-1} A1) Psi``, whose eigenvalues approximate the
+Floquet multipliers.
 
-    ``Z = A1 Psi + A2 Z``,
+Rows of ``A1``/``A2`` apply the right-hand side to the function rebuilt from
+``(Psi, Z)``: a differential block as ``Psi(0) + int_0^s Z`` for ``s > 0``,
+a renewal block as the interpolant of ``Z``, both as the history interpolant
+for ``s <= 0``. A point touches the ``M + 1`` nodes of its piece, and for
+``s`` in forward piece ``k``, ``int_0^s Z`` is ``int_0^{t_k} Z`` plus a
+partial-piece part. So ``A2`` and ``B2`` act on ``Z`` extended by the
+integrals ``int_0^{t_k} Z``, and each block is kept as row groups, one per
+mesh piece, dense over the few columns the group touches.
 
-and evaluating the solution at time ``omega + theta`` for every history node
-``theta`` gives the end state
-
-    ``T Psi = B1 Psi + B2 Z = (B1 + B2 (I - A2)^{-1} A1) Psi``.
-
-Rows of ``A1``/``A2`` apply the equation's right-hand side to the function
-reconstructed from ``(Psi, Z)``: a differential block is reconstructed as
-``Psi(0) + int_0^s Z`` for ``s > 0``, a renewal block is the interpolant of
-``Z`` on ``(0, omega]``; both fall back to the history interpolant for
-``s <= 0``. Eigenvalues of ``T`` approximate the Floquet multipliers.
-
-Each term is assembled over all its points at once: the reconstruction
-weights of all evaluation (or quadrature) points come from batched calls,
-and each row sums the weights of its points, scaled by their coefficients.
-
-The equation is causal, so ``I - A2`` is block lower triangular with one
-diagonal block per forward mesh piece (piece 0 also owns the node at 0):
-``Z`` at a node depends on ``Z`` up to the end of that node's piece only.
-``assemble`` checks this, then forms ``X = (I - A2)^{-1} A1`` by block
-forward substitution, ``X_i = D_i^{-1} (A1_i + A2[i, <i] X_{<i})`` with
-``D_i = I - A2_ii``; the dense ``I - A2`` and its LU are never formed. The
-singularity guard stays global: Higham's 1-norm estimate of
-``||(I - A2)^{-1}||_1`` (the estimator LAPACK's ``gecon`` uses, run through
-block forward and back substitution) against ``||I - A2||_1`` gives
-``rcond``, which must reach ``1e-14``; a per-piece ``rcond`` alone would be
-far weaker, so it only names the worst piece in the error message.
-
+The equation is causal: ``I - A2`` is block lower triangular with one
+diagonal block per forward piece, which ``assemble`` checks. Block forward
+substitution forms ``X = (I - A2)^{-1} A1`` where ``A1`` is nonzero (``T``
+equals ``B1`` in its other columns) and sums the integrals of ``X`` piece by
+piece; ``X`` and ``T`` are the only dense arrays. Higham's estimate of
+``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``) against the
+exact ``||I - A2||_1`` gives ``rcond``, which must reach ``1e-14``.
 ``multipliers`` computes eigenvalues only; ``eigenfunction`` computes the
-eigenvectors when asked. The thresholds of the verdict are module constants.
+eigenvectors when asked.
 """
 
 from __future__ import annotations
@@ -48,34 +38,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .interp import NodalFunction, integral_weights, prolong_pairs, window_rule
-from .mesh import (
-    CollocationGrid,
-    Mesh,
-    NodeFamily,
-    build_grid,
-)
+from .interp import (NodalFunction, bary_table, breakpoint_weights, integral_weights,
+                     prolong_pairs, window_rule)
+from .mesh import CollocationGrid, Mesh, NodeFamily, build_grid
 from .model import LinearPeriodicEquation, term_values
 
-__all__ = [
-    "MonodromyDiscretization",
-    "MultiplierSet",
-    "CoarseDiscretizationError",
-    "MissingBreakpointsError",
-    "assemble",
-    "multipliers",
-    "eigenfunction",
-]
+__all__ = ["MonodromyDiscretization", "MultiplierSet", "CoarseDiscretizationError",
+           "MissingBreakpointsError", "assemble", "multipliers", "eigenfunction"]
 
-# Guard against runaway problem sizes. The blocks A1, A2, B1, B2 are dense
-# and hold dim^2 doubles together (3.2 GB at 20k); the causal solve adds X
-# (n_fwd x n_hist) and T, but no dense copy or factorization of I - A2.
+# Guard against runaway problem sizes. The blocks stay structured; the dense
+# arrays, X and A1 (n_fwd d rows, one column per column A1 uses) and T
+# (n_hist d square), hold at most dim^2 doubles (3.2 GB at 20k).
 MAX_DIMENSION = 20_000
-# Dense weight entries built at once during assembly (512 kB). Kept small on
-# purpose: glibc raises its mmap threshold to the size of a freed large block,
-# and the heap then keeps memory through the solve and eigensolve phases (32 MB
-# batches raised the peak RSS of plant M=40 by 30 MB).
-BATCH_ENTRIES = 1 << 16
+# Rows of a distributed term whose quadrature points are built at once.
+ROW_CHUNK = 64
 # Breakpoint handling accepted by ``assemble``.
 ENFORCE_CHOICES = ("merge", "strict", "ignore")
 # Multiplier classification: moduli below TOL_DISCARD are flagged spurious,
@@ -96,21 +72,27 @@ class MissingBreakpointsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MonodromyDiscretization:
-    """Assembled block matrices and the resulting monodromy matrix."""
+    """Structured block matrices and the resulting monodromy matrix."""
 
     equation: LinearPeriodicEquation
     grid: CollocationGrid
-    blocks: dict  # A1, A2, B1, B2
+    parts: dict  # A1, A2, B1, B2 as structured blocks
     T: np.ndarray
     merged_breakpoints: tuple[float, ...] = ()
+
+    @cached_property
+    def blocks(self) -> dict:
+        """Dense ``A1, A2, B1, B2``, materialized on first use; ``assemble``
+        never forms them."""
+        # int_0^{t_k} Z as rows over Z, at row k d + component
+        integrals = np.kron(breakpoint_weights(self.grid.forward), np.eye(self.equation.d))
+        n, out = integrals.shape[1], {name: b.dense() for name, b in self.parts.items()}
+        return dict(out, A2=out["A2"][:, :n] + out["A2"][:, n:] @ integrals,
+                    B2=out["B2"][:, :n] + out["B2"][:, n:] @ integrals)
 
     @property
     def n_hist(self) -> int:
         return self.grid.history.n
-
-    @property
-    def n_fwd(self) -> int:
-        return self.grid.forward.n
 
     @property
     def dim(self) -> int:
@@ -143,18 +125,15 @@ class MultiplierSet:
     spurious: np.ndarray
 
     def trivial(self) -> complex | None:
-        if self.trivial_index is None:
-            return None
-        return complex(self.values[self.trivial_index])
+        return None if self.trivial_index is None else complex(self.values[self.trivial_index])
 
     def dominant(self) -> complex:
         return complex(self.values[0])
 
     def dominant_nontrivial(self) -> complex | None:
         for i, mu in enumerate(self.values):
-            if i == self.trivial_index or self.spurious[i]:
-                continue
-            return complex(mu)
+            if i != self.trivial_index and not self.spurious[i]:
+                return complex(mu)
         return None
 
     def __len__(self) -> int:
@@ -174,118 +153,142 @@ def _merge_breakpoints(eq: LinearPeriodicEquation, mesh: Mesh, enforce: str):
         raise MissingBreakpointsError(
             f"mesh omits smoothness breakpoints {missing}; refusing in strict mode"
         )
-    warnings.warn(
-        f"mesh omits smoothness breakpoints {missing}; merging them in",
-        stacklevel=3,
-    )
+    warnings.warn(f"mesh omits smoothness breakpoints {missing}; merging them in",
+                  stacklevel=3)
     return Mesh(np.sort(np.concatenate([b, missing]))), tuple(missing)
 
 
 class _Assembler:
-    """Blocks ``A1, A2, B1, B2`` as (node, component, node, component) arrays."""
+    """Structured ``A1, A2, B1, B2``: every point adds (row, column, weight)
+    triples over the ``M + 1`` nodes of its piece; one that reads a
+    differential block on ``[0, omega]`` also adds the coefficient of its
+    ``int_0^{t_k} Z``, column ``n_fwd + k`` (node-major like ``Z``)."""
 
     def __init__(self, eq: LinearPeriodicEquation, grid: CollocationGrid):
         self.eq = eq
         self.grid = grid
-        nh, nf, d = grid.history.n, grid.forward.n, eq.d
-        self.A1 = np.zeros((nf, d, nh, d))
-        self.A2 = np.zeros((nf, d, nf, d))
-        self.B1 = np.zeros((nh, d, nh, d))
-        self.B2 = np.zeros((nh, d, nf, d))
-        # points per batch of dense weight rows, bounding their memory
-        self.batch = max(1, BATCH_ENTRIES // (nh + nf))
+        self.triples = {name: [] for name in ("A1", "A2", "B1", "B2")}
 
     def evaluate(self, term, *args) -> np.ndarray:
         """Call a coefficient or kernel callback and check its shape."""
         eq = self.eq
-        return term_values(term, eq.block_dim(term.target), eq.block_dim(term.source),
-                           *args)
+        return term_values(term, eq.block_dim(term.target), eq.block_dim(term.source), *args)
 
-    def weights(self, source: str, side: str, s: np.ndarray):
-        """Dense rows reconstructing the source block's state at times ``s``.
-
-        Returns (history rows, forward rows); either may be ``None``.
-        """
-        grid = self.grid
+    def add(self, hist, fwd, target, source, owner, coeff, side, s):
+        """Add ``sum_k coeff[k] (x) weights(s[k])`` to the target rows of node
+        ``owner[k]`` (nondecreasing in ``k``) of block ``hist`` or ``fwd``,
+        the weights reconstructing the source block at times ``s``."""
+        eq, grid = self.eq, self.grid
+        if owner.size == 0:
+            return
         if side == "history":
-            return _dense(grid.history.n, *prolong_pairs(grid.history, s)), None
-        if source == "x":
-            return None, _dense(grid.forward.n, *prolong_pairs(grid.forward, s))
-        # differential block: Psi(0) + int_0^s Z
-        psi0 = np.zeros((s.size, grid.history.n))
-        psi0[:, -1] = 1.0
-        return psi0, integral_weights(grid.forward, s)
+            pairs = [(hist, *prolong_pairs(grid.history, s))]
+        elif source == "x":
+            pairs = [(fwd, *prolong_pairs(grid.forward, s))]
+        else:  # differential block: Psi(0) + int_0^{t_k} Z + the partial piece
+            k, cols, w = integral_weights(grid.forward, s)
+            one = np.ones((s.size, 1))
+            pairs = [(hist, np.full((s.size, 1), grid.history.n - 1), one),
+                     (fwd, cols, w), (fwd, grid.forward.n + k[:, None], one)]
+        for name, cols, w in pairs:
+            self.triples[name].append(_row_sums(
+                owner, cols, w, coeff, eq.d, eq.block_offset(target), eq.block_offset(source)))
 
-    def add(self, hist_mat, fwd_mat, target, source, owner, coeff, side, s):
-        """Add ``sum_k coeff[k] (x) weights(s[k])`` to the target rows of
-        node ``owner[k]`` (nondecreasing in ``k``)."""
-        eq = self.eq
-        ot, os = eq.block_offset(target), eq.block_offset(source)
-        p, q = coeff.shape[1:]
-        # batches of whole rows: each row sums its points in order, in one pass
-        starts = np.unique(np.searchsorted(owner, owner[::self.batch]))
-        for b0, b1 in zip(starts, np.append(starts[1:], owner.size)):
-            b = slice(b0, b1)
-            k0, k1 = owner[b0], owner[b1 - 1] + 1
-            for mat, w in zip((hist_mat, fwd_mat), self.weights(source, side, s[b])):
-                # only the columns in use are written, so pages of the blocks
-                # that stay zero are never touched
-                used = np.flatnonzero(w.any(axis=0)) if w is not None else []
-                if len(used) == 0:
-                    continue
-                cols = slice(used[0], used[-1] + 1)
-                w = w[:, cols]
-                # flat (row, column) target of every weight: bincount sums
-                # the points of each row
-                n = w.shape[1]
-                flat = ((owner[b] - k0)[:, None] * n + np.arange(n)).ravel()
-                for i, j in np.ndindex(p, q):
-                    mat[k0:k1, ot + i, cols, os + j] += np.bincount(
-                        flat, (coeff[b, i, j, None] * w).ravel(),
-                        minlength=(k1 - k0) * n).reshape(k1 - k0, n)
-
-    def add_at_times(self, hist_mat, fwd_mat, target, source, coeff, s):
+    def add_at_times(self, hist, fwd, target, source, coeff, s):
         """The source state at time ``s[k]`` feeds the target rows of node ``k``."""
         past = s <= 0.0
         for side, sel in (("history", past), ("forward", ~past)):
             rows = np.nonzero(sel)[0]
-            self.add(hist_mat, fwd_mat, target, source, rows, coeff[rows], side, s[rows])
+            self.add(hist, fwd, target, source, rows, coeff[rows], side, s[rows])
 
-    def run(self):
+    def run(self) -> dict:
         eq, grid = self.eq, self.grid
         t = grid.forward.nodes
         # fixed-point rows: the equation collocated at every forward node
         for term in eq.discrete:
             coeff = self.evaluate(term, t)
-            self.add_at_times(self.A1, self.A2, term.target, term.source, coeff,
+            self.add_at_times("A1", "A2", term.target, term.source, coeff,
                               t - term.delay)
         for term in eq.distributed:
             # kernel integral over [t + lower, t + upper], split at 0 where
             # the reconstruction changes form; clipped at t, since validation
-            # lets upper exceed 0 by roundoff and Z after t must not enter
-            lo, hi = t + term.lower, np.minimum(t + term.upper, t)
-            for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
-                               (grid.forward, np.maximum(lo, 0.0), hi)):
-                owner, s, w = window_rule(side, a, b)
-                kern = self.evaluate(term, t[owner], s - t[owner])
-                self.add(self.A1, self.A2, term.target, term.source, owner,
-                         w[:, None, None] * kern, side.label, s)
+            # lets upper exceed 0 by roundoff and Z after t must not enter.
+            # Rows go in chunks, which bounds the memory of their points.
+            for rows in np.array_split(np.arange(t.size), -(-t.size // ROW_CHUNK)):
+                lo, hi = t[rows] + term.lower, np.minimum(t[rows] + term.upper, t[rows])
+                for side, a, b in ((grid.history, lo, np.minimum(hi, 0.0)),
+                                   (grid.forward, np.maximum(lo, 0.0), hi)):
+                    owner, s, w = window_rule(side, a, b)
+                    owner = rows[owner]
+                    kern = self.evaluate(term, t[owner], s - t[owner])
+                    self.add("A1", "A2", term.target, term.source, owner,
+                             w[:, None, None] * kern, side.label, s)
         # end-state rows: the reconstructed state at omega + theta
         s = grid.omega + grid.history.nodes
         for block in ("x", "y"):
             dim = eq.block_dim(block)
             if dim:
                 coeff = np.broadcast_to(np.eye(dim), (s.size, dim, dim))
-                self.add_at_times(self.B1, self.B2, block, block, coeff, s)
-        return tuple(m.reshape(m.shape[0] * m.shape[1], -1)
-                     for m in (self.A1, self.A2, self.B1, self.B2))
+                self.add_at_times("B1", "B2", block, block, coeff, s)
+        # row groups: piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
+        edges = [np.r_[0, eq.d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
+                 for side in (grid.forward, grid.history)]
+        nf, nh = eq.d * grid.forward.n, eq.d * grid.history.n
+        ext = nf + eq.d * (grid.forward.P + 1)
+        shapes = {"A1": (nf, nh), "A2": (nf, ext), "B1": (nh, nh), "B2": (nh, ext)}
+        return {name: _Block(shape, edges[name[0] == "B"], self.triples[name])
+                for name, shape in shapes.items()}
 
 
-def _dense(n: int, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Dense rows of ``n`` columns from (columns, weights) pairs."""
-    out = np.zeros((cols.shape[0], n))
-    np.put_along_axis(out, cols, w, axis=1)
-    return out
+def _row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
+    """Nonzero triples ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``:
+    row ``owner[k] d + ot + i``, column ``cols[k] d + os + j``; the points of
+    a row are summed first, over the range of columns they touch."""
+    new = np.r_[True, owner[1:] != owner[:-1]]
+    first = np.flatnonzero(new)
+    lo = np.minimum.reduceat(cols[:, 0], first)
+    width = np.maximum.reduceat(cols[:, -1], first) - lo + 1
+    shift = np.cumsum(width) - width - lo
+    flat = (cols + shift[np.cumsum(new) - 1, None]).ravel()
+    row = np.repeat(owner[first], width)
+    node = np.arange(width.sum()) - np.repeat(shift, width)
+    out = [(row * d + ot + i, node * d + os + j,
+            np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size))
+           for i, j in np.ndindex(coeff.shape[1:])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
+
+
+class _Block:
+    """A block as row groups ``(rows, columns, dense values)``, each dense
+    over the columns its points touch."""
+
+    def __init__(self, shape, edges, triples):
+        rows, cols, vals = (np.concatenate(part) for part in zip(
+            (np.empty(0, int), np.empty(0, int), np.empty(0)), *triples))
+        # no sort: a (group, column) mask numbers the columns of each group,
+        # and one bincount sums the triples into every group's matrix
+        group = np.searchsorted(edges, rows, side="right") - 1
+        mask = np.zeros((edges.size - 1, shape[1]), bool)
+        mask[group, cols] = True
+        pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
+        nrows, count = np.diff(edges), mask.sum(axis=1)
+        start = np.cumsum(nrows * count) - nrows * count
+        flat = start[group] + (rows - edges[group]) * count[group] + pos[group, cols]
+        dense = np.bincount(flat, vals, minlength=(nrows * count).sum())
+        self.shape = shape
+        self.groups = [(slice(r, r + n), np.flatnonzero(m), dense[a:a + n * c].reshape(n, c))
+                       for r, m, a, n, c in zip(edges, mask, start, nrows, count)]
+
+    def dense(self, cols=None) -> np.ndarray:
+        """The dense block, or its sorted columns ``cols`` that hold all its
+        entries; column-major, as ``assemble`` adds ``B2 X`` by column."""
+        out = np.zeros((self.shape[0], self.shape[1] if cols is None else cols.size),
+                       order="F")
+        for rows, at, w in self.groups:
+            out[rows, at if cols is None else np.searchsorted(cols, at)] = w
+        return out
 
 
 def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
@@ -316,8 +319,8 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     if dim > MAX_DIMENSION:
         raise ValueError(f"discretization dimension {dim} exceeds {MAX_DIMENSION}")
 
-    a1, a2, b1, b2 = _Assembler(eq, grid).run()
-    system = _CausalSystem(a2, grid.forward, eq.d)
+    parts = _Assembler(eq, grid).run()
+    system = _CausalSystem(parts["A2"], grid.forward, eq.d)
     rcond = system.rcond()
     if not rcond >= 1e-14:
         i = int(np.argmin(system.piece_rcond))
@@ -327,11 +330,12 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
             f"{_describe_piece(grid.forward, i)} (piece rcond "
             f"{system.piece_rcond[i]:.2e})"
         )
-    t_mat = b1 + b2 @ system.solve(a1)
+    used = np.unique(np.concatenate([at for _, at, _ in parts["A1"].groups]))
+    x = system.solve(parts["A1"].dense(used))
+    t_mat = parts["B1"].dense()
+    t_mat[:, used] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
     return MonodromyDiscretization(
-        equation=eq, grid=grid,
-        blocks={"A1": a1, "A2": a2, "B1": b1, "B2": b2},
-        T=t_mat, merged_breakpoints=merged,
+        equation=eq, grid=grid, parts=parts, T=t_mat, merged_breakpoints=merged,
     )
 
 
@@ -341,32 +345,33 @@ def _describe_piece(side, i: int) -> str:
 
 
 class _CausalSystem:
-    """``S = I - m`` for ``m`` block lower triangular by forward piece.
-
-    Only the inverses ``D_i^{-1}`` of the diagonal blocks are stored.
-    ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds ``rcond`` from
-    above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``); its smallest
-    entry names the piece nearest to singular. Raises ValueError when ``m``
-    has an entry above the block diagonal, and
+    """``S = I - A2`` for a structured ``A2`` that is block lower triangular
+    by forward piece; only the inverses ``D_i^{-1}`` of the diagonal blocks
+    are formed. ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds
+    ``rcond`` from above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``).
+    Raises ValueError when ``A2`` has an entry above the block diagonal, and
     :class:`CoarseDiscretizationError` when a diagonal block is singular.
     """
 
-    def __init__(self, m: np.ndarray, side, d: int):
-        # piece i owns the rows of nodes i M + 1 ... (i + 1) M; piece 0 also node 0
-        edges = d * (np.arange(side.P + 1) * side.family.degree + 1)
-        edges[0] = 0
-        self.m, self.n = m, m.shape[0]
-        self.blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        self.inv = []
+    def __init__(self, a2, side, d: int):
+        self.side, self.d, self.n, self.ext = side, d, d * side.n, a2.shape[1]
+        # rows of int over piece i of Z, over the rows of piece i's nodes
+        quad = np.diff(side.breakpoints)[:, None] * bary_table(side.family).quad
+        self.quad = np.einsum("pk,ce->pcke", quad, np.eye(d)).reshape(side.P, d, -1)
+        # ||S||_1 exactly: each piece's rows, dense up to the end of the piece
+        integrals = np.kron(breakpoint_weights(side), np.eye(d))
         col_sums = np.zeros(self.n)
-        for i, rows in enumerate(self.blocks):
-            if m[rows, rows.stop:].any():
-                raise ValueError(
-                    f"A2 is not causal: rows of {_describe_piece(side, i)} depend "
-                    "on forward nodes after that piece"
-                )
-            diag = -m[rows, rows]
-            diag[np.diag_indices_from(diag)] += 1.0
+        buf = np.empty((d * (side.family.degree + 1), self.n))
+        self.pieces = []
+        for i, (rows, cols, w) in enumerate(a2.groups):
+            # sorted columns: nodes before the piece, of the piece, integrals
+            lo, hi = np.searchsorted(cols, [rows.start, self.n])
+            own, keys = cols[lo:hi], cols[hi:]
+            if own.max(initial=0) >= rows.stop or keys.max(initial=0) >= self.n + (i + 1) * d:
+                raise ValueError(f"A2 is not causal: rows of {_describe_piece(side, i)} "
+                                 "depend on forward nodes after that piece")
+            diag = np.eye(rows.stop - rows.start)
+            diag[:, own - rows.start] -= w[:, lo:hi]
             try:
                 inv = np.linalg.inv(diag)
             except np.linalg.LinAlgError as exc:
@@ -374,32 +379,49 @@ class _CausalSystem:
                     f"fixed-point system is singular on {_describe_piece(side, i)}: "
                     "discretization too coarse"
                 ) from exc
-            self.inv.append(inv)
-            col_sums[:rows.start] += np.abs(m[rows, :rows.start]).sum(axis=0)
-            col_sums[rows] += np.abs(diag).sum(axis=0)
+            self.pieces.append((rows, inv, np.concatenate([cols[:lo], keys]),
+                                np.concatenate([w[:, :lo], w[:, hi:]], axis=1)))
+            a2_rows = np.matmul(w[:, hi:], integrals[keys - self.n, :rows.stop],
+                                out=buf[:len(diag), :rows.stop])
+            a2_rows[:, cols[:lo]] += w[:, :lo]
+            a2_rows[:, rows] -= diag  # A2 - I on the piece's own columns
+            col_sums[:rows.stop] += np.abs(a2_rows, out=a2_rows).sum(axis=0)
         self.norm1 = col_sums.max()
-        self.piece_rcond = 1.0 / (self.norm1 * np.array([np.linalg.norm(inv, 1)
-                                                         for inv in self.inv]))
+        self.piece_rcond = 1.0 / (self.norm1 * np.array([np.linalg.norm(p[1], 1)
+                                                         for p in self.pieces]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``S^{-1} rhs`` by block forward substitution."""
-        x = np.empty(rhs.shape)
-        for rows, inv in zip(self.blocks, self.inv):
-            x[rows] = inv @ (rhs[rows] + self.m[rows, :rows.start] @ x[:rows.start])
+        """``S^{-1} rhs`` by block forward substitution, extended by its
+        integrals ``int_0^{t_k}``, summed piece by piece."""
+        m, d, n = self.side.family.degree, self.d, self.n
+        x = np.zeros((self.ext,) + rhs.shape[1:])
+        integrals = x[n:].reshape((self.side.P + 1, d) + rhs.shape[1:])  # a view: int_0^{t_k}
+        for j, (rows, inv, cols, w) in enumerate(self.pieces):
+            x[rows] = inv @ (rhs[rows] + w @ x[cols])
+            integrals[j + 1] = integrals[j] + self.quad[j] @ x[j * m * d:((j + 1) * m + 1) * d]
         return x
 
     def solve_t(self, rhs: np.ndarray) -> np.ndarray:
-        """``S^{-T} rhs`` by block back substitution."""
+        """``S^{-T} rhs`` by block back substitution; the coefficients of the
+        integrals in the rows already solved are summed backwards."""
+        m, d, n = self.side.family.degree, self.d, self.n
         x = np.empty(rhs.shape)
-        for rows, inv in zip(reversed(self.blocks), reversed(self.inv)):
-            x[rows] = inv.T @ (rhs[rows] + self.m[rows.stop:, rows].T @ x[rows.stop:])
+        acc = np.concatenate([rhs, np.zeros((self.ext - n,) + rhs.shape[1:])])
+        tail = np.zeros((d,) + rhs.shape[1:])
+        for j in reversed(range(len(self.pieces))):
+            rows, inv, cols, w = self.pieces[j]
+            # piece j's nodes enter int_0^{t_k} Z for every k > j
+            tail += acc[n + (j + 1) * d:n + (j + 2) * d]
+            acc[j * m * d:((j + 1) * m + 1) * d] += self.quad[j].T @ tail
+            x[rows] = inv.T @ acc[rows]
+            acc[cols] += w.T @ x[rows]
         return x
 
     def inv_norm1(self) -> float:
         """Lower estimate of ``||S^{-1}||_1``: Higham's method as in LAPACK's
         ``dlacn2`` (what ``dgecon`` runs), which draws no random numbers."""
         n = self.n
-        y = self.solve(np.full(n, 1.0 / n))
+        y = self.solve(np.full(n, 1.0 / n))[:n]
         if n == 1:
             return float(abs(y[0]))
         est = np.abs(y).sum()
@@ -407,7 +429,7 @@ class _CausalSystem:
         z = self.solve_t(sign)
         j = int(np.argmax(np.abs(z)))
         for _ in range(4):  # iterations 2 ... ITMAX = 5
-            y = self.solve(np.eye(1, n, j)[0])
+            y = self.solve(np.eye(1, n, j)[0])[:n]
             est_old, est = est, np.abs(y).sum()
             new_sign = np.where(y >= 0.0, 1.0, -1.0)
             if np.array_equal(new_sign, sign) or est <= est_old:
@@ -418,7 +440,7 @@ class _CausalSystem:
             if z[last] == abs(z[j]):
                 break
         alt = np.resize([1.0, -1.0], n) * (1.0 + np.arange(n) / (n - 1))
-        return float(max(est, 2.0 * np.abs(self.solve(alt)).sum() / (3 * n)))
+        return float(max(est, 2.0 * np.abs(self.solve(alt)[:n]).sum() / (3 * n)))
 
     def rcond(self) -> float:
         """Reciprocal 1-norm condition estimate, as ``gecon`` defines it."""
@@ -444,10 +466,7 @@ def multipliers(disc: MonodromyDiscretization) -> MultiplierSet:
     trivial_index = int(np.argmin(dist_to_one))
     if dist_to_one[trivial_index] > TRIVIAL_RADIUS:
         trivial_index = None
-    nontrivial = np.ones(vals.size, dtype=bool)
-    if trivial_index is not None:
-        nontrivial[trivial_index] = False
-    nt_mods = mods[nontrivial]
+    nt_mods = np.delete(mods, [] if trivial_index is None else trivial_index)
     if nt_mods.size and np.any(nt_mods > 1.0 + TOL_STAB):
         verdict = "unstable"
     elif nt_mods.size == 0 or np.all(nt_mods < 1.0 - TOL_STAB):

@@ -9,10 +9,15 @@ evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
 ignoring its causal block structure. ``fd_jacobian`` and
 ``central_jacobian`` differentiate the BVP residual column by column, the
 way the periodic solver did before it assembled its Jacobian analytically.
+``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
+``kernel_quadrature`` are dense, one-window conveniences over the library's
+sparse weight builders.
 """
 
 import numpy as np
 import scipy.linalg
+
+from pwfloquet.interp import breakpoint_weights, integral_weights, prolong_pairs, window_rule
 
 
 FD_STEP = 1e-7
@@ -42,6 +47,49 @@ def central_jacobian(sys, state, step=1e-5):
         down[i] -= delta
         jac[:, i] = (sys.residual(up) - sys.residual(down)) / (2 * delta)
     return jac
+
+
+def prolong_weights(side, t):
+    """Dense weight vector over all global nodes realizing evaluation at t."""
+    cols, w = prolong_pairs(side, t)
+    out = np.zeros(cols.shape[:-1] + (side.n,))
+    np.put_along_axis(out, cols, w, axis=-1)
+    return out
+
+
+def prolong_eval(v, t):
+    """Evaluate the piecewise interpolant of the nodal function ``v`` at ``t``."""
+    cols, w = prolong_pairs(v.side, t)
+    return w @ v.values[cols]
+
+
+def integral_rows(side, upper):
+    """Dense rows over all nodes of the side realizing the integral of the
+    interpolant from the side's start to ``upper``: shape ``upper.shape + (n,)``."""
+    i, cols, w = integral_weights(side, upper)
+    out = breakpoint_weights(side)[i]
+    np.put_along_axis(out, cols, np.take_along_axis(out, cols, axis=-1) + w, axis=-1)
+    return out
+
+
+def kernel_quadrature(side, lo, hi, kernel):
+    """Weights realizing ``int_lo^hi K(s) v(s) ds`` over the side's nodes.
+
+    ``kernel`` is elementwise: an array of points ``s`` in, an array of
+    shape ``s.shape + (p, q)`` out. The result has shape (p, q, n). The
+    window is split by ``window_rule``.
+    """
+    _, s, w = window_rule(side, lo, hi)
+    k = np.asarray(kernel(s), dtype=float)
+    if k.ndim != 3 or k.shape[0] != s.size:
+        raise ValueError(
+            f"kernel returned shape {k.shape} for {s.size} points; kernels are "
+            "elementwise: an array of points in, shape + (p, q) out"
+        )
+    cols, lw = prolong_pairs(side, s)
+    out = np.zeros((side.n,) + k.shape[1:])
+    np.add.at(out, cols, (w[:, None, None] * k)[:, None] * lw[..., None, None])
+    return np.moveaxis(out, 0, -1)
 
 
 def dense_monodromy(blocks):

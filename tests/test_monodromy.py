@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from oracles import dense_monodromy, rk4_method_of_steps
-from pwfloquet.interp import restrict
+from pwfloquet.interp import breakpoint_weights, restrict
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
@@ -164,7 +164,7 @@ class TestEigenfunction:
         eq = scalar_dde([(0.0, 0.0)], omega=1.0, tau=1.0)
         base = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(1))
         toy = MonodromyDiscretization(
-            equation=base.equation, grid=base.grid, blocks=base.blocks,
+            equation=base.equation, grid=base.grid, parts=base.parts,
             T=np.array([[2.0, 0.0], [0.0, 0.5]]),
         )
         e0 = eigenfunction(toy, 0).values[:, 0]
@@ -406,14 +406,73 @@ class TestCausality:
         run = monodromy._Assembler.run
 
         def leaky(self):
-            a1, a2, b1, b2 = run(self)
-            a2[0, -1] = 1e-300
-            return a1, a2, b1, b2
+            # one pair of the first row on the last forward node
+            self.triples["A2"].append((np.array([0]), np.array([self.grid.forward.n - 1]),
+                                       np.array([1e-300])))
+            return run(self)
 
         monkeypatch.setattr(monodromy._Assembler, "run", leaky)
         eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
         with pytest.raises(ValueError, match=r"not causal: rows of forward piece 0 on \[0, 0\.5\]"):
             assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(3))
+
+    def test_integral_beyond_the_piece_is_rejected(self, monkeypatch):
+        run = monodromy._Assembler.run
+
+        def leaky(self):
+            # the first row reads int_0^{t_1} Z, which holds its own piece
+            self.triples["A2"].append((np.array([0]), np.array([self.grid.forward.n + 1]),
+                                       np.array([1e-300])))
+            return run(self)
+
+        monkeypatch.setattr(monodromy._Assembler, "run", leaky)
+        eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
+        with pytest.raises(ValueError, match=r"not causal: rows of forward piece 0 on \[0, 0\.5\]"):
+            assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(3))
+
+
+def _assert_structure_matches_dense(disc):
+    """The row groups with the integrals ``int_0^{t_k}`` act as the
+    materialized dense blocks, and T is B1 where A1 is zero."""
+    fwd, d = disc.grid.forward, disc.equation.d
+    dense = disc.blocks
+    v = np.random.default_rng(7).normal(size=(d * fwd.n, 3))
+    # int_0^{t_k} of the interpolant of each component, rows k d + component
+    integrals = (breakpoint_weights(fwd) @ v.reshape(fwd.n, -1)).reshape(-1, 3)
+    ext = np.vstack([v, integrals])
+    for name in ("A2", "B2"):
+        got = np.vstack([w @ ext[cols] for _, cols, w in disc.parts[name].groups])
+        want = dense[name] @ v
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    system = monodromy._CausalSystem(disc.parts["A2"], fwd, d)
+    exact = np.linalg.norm(np.eye(d * fwd.n) - dense["A2"], 1)
+    assert abs(system.norm1 - exact) <= 1e-13 * exact
+    zero = ~dense["A1"].any(axis=0)
+    assert np.array_equal(disc.T[:, zero], dense["B1"][:, zero])
+
+
+class TestStructuredBlocks:
+    """The structured products and norm against the dense blocks."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_structure_matches_dense(self, name):
+        _assert_structure_matches_dense(_causal_case(name, np.linspace(0.0, 1.0, 5), 8))
+
+    def test_plant_solves_only_where_a1_is_nonzero(self):
+        # plant reads only v with delay: half the columns of A1 are zero
+        disc = _causal_case("plant", None, 40)
+        zero = ~disc.blocks["A1"].any(axis=0)
+        assert zero.sum() == 520 and disc.dim == 1042
+        _assert_structure_matches_dense(disc)
+
+    @given(**_RANDOM_EQUATIONS)
+    @settings(max_examples=25, deadline=None)
+    def test_random_equation_structure_matches_dense(self, inner, M, delays, lower, upper,
+                                                     kind):
+        eq = _random_equation(kind, delays, lower, upper)
+        mesh = Mesh(np.unique(np.round([0.0, 1.0] + inner, 3)))
+        _assert_structure_matches_dense(
+            assemble(eq, mesh, chebyshev_family(M), enforce="ignore"))
 
 
 class TestDenseOracle:
@@ -424,7 +483,7 @@ class TestDenseOracle:
         disc = _causal_case(name, np.linspace(0.0, 1.0, 5), 8)
         gecon_rcond = _assert_matches_dense(disc)
         # the singularity guard is as strict as LAPACK's gecon
-        system = monodromy._CausalSystem(disc.blocks["A2"], disc.grid.forward,
+        system = monodromy._CausalSystem(disc.parts["A2"], disc.grid.forward,
                                          disc.equation.d)
         assert abs(system.rcond() - gecon_rcond) <= 0.1 * gecon_rcond
 
@@ -436,7 +495,7 @@ class TestDenseOracle:
         disc = assemble(eq, mesh, chebyshev_family(M), enforce="ignore")
         _assert_matches_dense(disc)
         # Higham's estimate is a lower bound of the exact inverse norm
-        system = monodromy._CausalSystem(disc.blocks["A2"], disc.grid.forward,
+        system = monodromy._CausalSystem(disc.parts["A2"], disc.grid.forward,
                                          disc.equation.d)
         exact = np.linalg.norm(np.linalg.inv(np.eye(system.n) - disc.blocks["A2"]), 1)
         assert system.inv_norm1() <= exact * (1 + 1e-12)
