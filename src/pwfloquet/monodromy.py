@@ -362,10 +362,10 @@ class _CausalSystem:
         integrals = np.kron(breakpoint_weights(side), np.eye(d))
         col_sums = np.zeros(self.n)
         buf = np.empty((d * (side.family.degree + 1), self.n))
-        self.pieces = []
+        self.pieces, inv_norms = [], []
         for i, (rows, cols, w) in enumerate(a2.groups):
             # sorted columns: nodes before the piece, of the piece, integrals
-            lo, hi = np.searchsorted(cols, [rows.start, self.n])
+            lo, hi = cols.searchsorted(rows.start), cols.searchsorted(self.n)
             own, keys = cols[lo:hi], cols[hi:]
             if own.max(initial=0) >= rows.stop or keys.max(initial=0) >= self.n + (i + 1) * d:
                 raise ValueError(f"A2 is not causal: rows of {_describe_piece(side, i)} "
@@ -381,14 +381,14 @@ class _CausalSystem:
                 ) from exc
             self.pieces.append((rows, inv, np.concatenate([cols[:lo], keys]),
                                 np.concatenate([w[:, :lo], w[:, hi:]], axis=1)))
+            inv_norms.append(np.abs(inv).sum(axis=0).max())
             a2_rows = np.matmul(w[:, hi:], integrals[keys - self.n, :rows.stop],
                                 out=buf[:len(diag), :rows.stop])
             a2_rows[:, cols[:lo]] += w[:, :lo]
             a2_rows[:, rows] -= diag  # A2 - I on the piece's own columns
             col_sums[:rows.stop] += np.abs(a2_rows, out=a2_rows).sum(axis=0)
         self.norm1 = col_sums.max()
-        self.piece_rcond = 1.0 / (self.norm1 * np.array([np.linalg.norm(p[1], 1)
-                                                         for p in self.pieces]))
+        self.piece_rcond = 1.0 / (self.norm1 * np.array(inv_norms))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``S^{-1} rhs`` by block forward substitution, extended by its
