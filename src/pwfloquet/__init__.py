@@ -31,7 +31,6 @@ from .interp import (
     bary_table,
     breakpoint_weights,
     integral_weights,
-    restrict,
 )
 from .model import (
     Builtin,

@@ -38,13 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interp import (
-    bary_table,
-    derivative_matrix_at,
-    lagrange_matrix,
-    prolong_pairs,
-    window_rule,
-)
+from .interp import bary_table, lagrange_matrix, prolong_pairs, window_rule
 from .mesh import UNIFORM, Mesh, build_forward_grid, reference_nodes
 from .model import MissingDerivativesError, NonlinearProblem, PiecewiseSolution, term_values
 
@@ -103,7 +97,6 @@ class BvpResult:
     period: float
     iterations: int
     residual_norm: float
-    converged: bool
 
 
 def _collocation_points(kind: str, m: int) -> np.ndarray:
@@ -136,7 +129,6 @@ class _System:
     def __init__(self, bvp: BvpProblem):
         self.problem = bvp.problem
         self.d = d = bvp.problem.d
-        self.d_x = d_x = bvp.problem.d_x
         self.m = m = bvp.degree
         if m < 1:
             raise ValueError("polynomial degree must be >= 1")
@@ -154,19 +146,18 @@ class _System:
         self.colloc = (b[:-1, None] + h[:, None] * zeta).ravel()
         npts = L * m
         # collocation rows are scaled by 1 (renewal) or by the period (differential)
-        self.differential = np.arange(d) >= d_x
-        self.block_offset, self.block_dim = {"x": 0, "y": d_x}, {"x": d_x, "y": d - d_x}
+        self.differential = np.arange(d) >= bvp.problem.d_x
 
         # the residual is linear @ nodal values - offset: the collocated value
         # (renewal) or derivative (differential) minus the scaled right-hand
         # side, then periodicity p(0) = p(1), then the phase condition
         self.linear = np.zeros((self.n_unknowns, n * d))
         colloc = self.linear[: npts * d].reshape(L, m, d, n, d)
-        ops = (lagrange_matrix(table, zeta),
-               derivative_matrix_at(table, zeta) / h[:, None, None])
+        lz = lagrange_matrix(table, zeta)
+        ops = (lz, lz @ table.diff / h[:, None, None])
         pieces, rows = np.arange(L)[:, None, None], np.arange(m)[None, :, None]
         for k in range(d):
-            colloc[pieces, rows, k, self.piece_cols[:, None, :], k] = ops[k >= d_x]
+            colloc[pieces, rows, k, self.piece_cols[:, None, :], k] = ops[k >= bvp.problem.d_x]
         period = self.linear[npts * d: npts * d + d].reshape(d, n, d)
         period[np.arange(d), 0, np.arange(d)] = 1.0
         period[np.arange(d), n - 1, np.arange(d)] = -1.0
@@ -180,7 +171,7 @@ class _System:
             gq, gw = np.polynomial.legendre.leggauss(m + 1)
             gq = 0.5 * (gq + 1.0)
             wq = lagrange_matrix(table, gq)
-            qprime = np.einsum("qj,ijd->iqd", derivative_matrix_at(table, gq),
+            qprime = np.einsum("qj,ijd->iqd", wq @ table.diff,
                                ref_nodal[self.piece_cols]) / h[:, None, None]
             np.add.at(phase, self.piece_cols,
                       np.einsum("qj,iqd,q,i->ijd", wq, qprime, 0.5 * gw, h))
@@ -237,13 +228,13 @@ class _System:
             lambda tt: self.values_at(p, np.asarray(tt, float) / w), w)
         every = np.arange(npts)
         for term in discrete:
-            coeff = self._term_values(term, t)
+            coeff = term_values(term, self.problem, t)
             theta = np.full(npts, -term.delay)
             self._add(jp, dgdw, dp, term, every, np.mod(self.colloc + theta / w, 1.0),
                       -theta / w**2, coeff)
         for term in distributed:
             c, s, theta, wq = self._windows(term, w)
-            kern = self._term_values(term, t[c], theta)
+            kern = term_values(term, self.problem, t[c], theta)
             self._add(jp, dgdw, dp, term, c, s, -theta / w**2,
                       w * wq[:, None, None] * kern)
 
@@ -255,16 +246,12 @@ class _System:
         jac[: npts * d, -1] = -(scale * dgdw + np.where(self.differential, g, 0.0)).ravel()
         return jac
 
-    def _term_values(self, term, *args) -> np.ndarray:
-        return term_values(term, self.block_dim[term.target], self.block_dim[term.source],
-                           *args)
-
     def _add(self, jp, dgdw, dp, term, c, s, dsdw, coeff):
         """Add ``coeff[k] p_source(s[k])``, ``s`` in [0, 1], to the
         right-hand side at collocation point ``c[k]``: its nodal weights to
         ``jp``, its period derivative ``coeff[k] p'_source(s[k]) dsdw[k]``
         to ``dgdw``."""
-        ot, os = self.block_offset[term.target], self.block_offset[term.source]
+        ot, os = self.problem.block_offset(term.target), self.problem.block_offset(term.source)
         pt, qs = coeff.shape[1:]
         cols, lw = prolong_pairs(self.side, s)
         np.add.at(jp, (c[:, None, None, None], ot + np.arange(pt)[:, None, None],
@@ -355,9 +342,9 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
     bvp : BvpProblem
         Problem, mesh over [0, 1], degree, initial profile and period guess.
     tol : float
-        Convergence threshold on the residual infinity norm.
+        Convergence threshold on the residual infinity norm (positive, finite).
     max_iters : int
-        Newton iteration budget; exceeding it raises ConvergenceError.
+        Newton iteration budget (nonnegative); exceeding it raises ConvergenceError.
 
     Returns
     -------
@@ -366,6 +353,8 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive and finite or ``max_iters`` is negative.
     MissingDerivativesError
         If the problem has no ``linearize_terms``.
     SingularJacobianError
@@ -375,6 +364,9 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
     ConvergenceError
         If the residual does not reach ``tol`` within ``max_iters``.
     """
+    if not (0.0 < tol < np.inf) or max_iters < 0:
+        raise ValueError(f"tol must be positive and finite and max_iters nonnegative, "
+                         f"not tol={tol!r}, max_iters={max_iters!r}")
     if bvp.problem.linearize_terms is None:
         raise MissingDerivativesError(
             f"problem {bvp.problem.name!r} does not provide derivative callbacks "
@@ -413,8 +405,6 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
         values=sys.nodal_view(state[:-1]),
         node_kind=UNIFORM,
     )
-    return BvpResult(
-        solution=solution, period=period, iterations=iterations,
-        residual_norm=rnorm, converged=True,
-    )
+    return BvpResult(solution=solution, period=period, iterations=iterations,
+                     residual_norm=rnorm)
 

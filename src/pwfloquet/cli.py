@@ -297,6 +297,9 @@ def _fit_order(sizes, errors) -> float:
 
 def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
                  fixed: int, ref_spec: str, track: str) -> int:
+    columns = [c.strip() for c in track.split(",") if c.strip()]
+    if not columns or not set(columns) <= {"trivial", "dominant"}:
+        raise ConfigError(f"unknown --track {track!r}: expected trivial, dominant or both")
     built = _get_builtin(cfg)
     eq, solution = _linear_equation(cfg, built)
 
@@ -323,7 +326,6 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         raise ConfigError(f"unknown reference spec {ref_spec!r} "
                           "(expected self:<L>,<M> or value:<re>[,<im>])")
 
-    columns = [c.strip() for c in track.split(",") if c.strip()]
     rows = []
     for v in values:
         L, M = (fixed, v) if vary == "M" else (v, fixed)

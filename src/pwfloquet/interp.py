@@ -1,11 +1,13 @@
 """Piecewise barycentric Lagrange interpolation and exact integration.
 
-Restriction samples a function at the grid nodes of one side; prolongation
-evaluates the continuous piecewise interpolant through those samples.
-The interpolant's integral from the side's start splits into the integral up
-to the breakpoint left of the end point (``breakpoint_weights``) plus a
-partial-piece part (``integral_weights``); ``window_rule`` gives the
-quadrature points and weights of windows split at the side's breakpoints.
+Prolongation evaluates the continuous piecewise interpolant through values
+at the grid nodes of one side (``prolong_pairs``). The derivative rows at
+reference points ``x`` are ``lagrange_matrix(table, x) @ table.diff``, exact
+since the derivative has degree ``M - 1``. The interpolant's integral from
+the side's start splits into the integral up to the breakpoint left of the
+end point (``breakpoint_weights``) plus a partial-piece part
+(``integral_weights``); ``window_rule`` gives the quadrature points and
+weights of windows split at the side's breakpoints.
 The weight builders are linear in the nodal data and take arrays of
 evaluation points: one ``searchsorted`` locates all points, and one Lagrange
 evaluation serves them all.
@@ -25,13 +27,11 @@ __all__ = [
     "BaryTable",
     "NodalFunction",
     "bary_table",
-    "restrict",
     "prolong_pairs",
     "integral_weights",
     "breakpoint_weights",
     "window_rule",
     "lagrange_matrix",
-    "derivative_matrix_at",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,8 @@ class BaryTable:
 
     ``weights`` are the (scale-invariant) barycentric weights of the nodes;
     on a piece ``[t_i, t_i + h_i]`` the abscissae are the affine images of
-    the reference nodes, which leaves the weights unchanged.
+    the reference nodes, which leaves the weights unchanged. ``diff`` maps
+    nodal values to the nodal values of the derivative (reference scale).
     ``antiderivative[j, k]`` is the integral of the j-th Lagrange basis from
     0 to node ``c_k``; ``quad`` is its last column (the full-piece
     interpolatory quadrature weights, which sum to 1). ``anti_values[i, j]``
@@ -124,29 +125,6 @@ def lagrange_matrix(table: BaryTable, x) -> np.ndarray:
     return _lagrange_rows(table.family.nodes, table.weights, x)
 
 
-def derivative_matrix_at(table: BaryTable, x) -> np.ndarray:
-    """Rows mapping nodal values to the interpolant derivative at ``x``.
-
-    Reference-interval scale; divide by the piece width for an actual piece.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = table.family.nodes
-    out = np.empty((x.size, c.size))
-    diff = x[:, None] - c[None, :]
-    exact = np.nonzero((diff == 0.0).any(axis=1))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = table.weights[None, :] / diff
-        s = u.sum(axis=1, keepdims=True)
-        du = -table.weights[None, :] / diff**2
-        ds = du.sum(axis=1, keepdims=True)
-        ell = u / s
-        out[:] = (du - ds * ell) / s
-    for r in exact:
-        j = int(np.nonzero(diff[r] == 0.0)[0][0])
-        out[r] = table.diff[j]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class NodalFunction:
     """Values of a continuous piecewise polynomial at the nodes of one side."""
@@ -165,12 +143,6 @@ class NodalFunction:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-
-def restrict(f, side: GridSide) -> NodalFunction:
-    """Sample ``f`` at every node of the side."""
-    vals = np.asarray([np.atleast_1d(f(float(t))) for t in side.nodes])
-    return NodalFunction(side=side, values=vals)
 
 
 def _locate(side: GridSide, t: np.ndarray):

@@ -174,7 +174,6 @@ class CollocationGrid:
     forward: GridSide
     history: GridSide
     omega: float
-    tau: float
     mesh: Mesh
     family: NodeFamily
 
@@ -261,8 +260,7 @@ def build_grid(mesh: Mesh, family: NodeFamily, tau: float) -> CollocationGrid:
     return CollocationGrid(
         forward=build_forward_grid(mesh, family),
         history=build_history_grid(mesh, family, tau),
-        omega=float(mesh.breakpoints[-1]), tau=float(tau),
-        mesh=mesh, family=family,
+        omega=float(mesh.breakpoints[-1]), mesh=mesh, family=family,
     )
 
 

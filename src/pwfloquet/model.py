@@ -16,13 +16,14 @@ objects are immutable; callbacks must be pure and re-entrant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Callable
 
 import numpy as np
 
-from .interp import bary_table, lagrange_matrix
-from .mesh import UNIFORM, Mesh, mesh_ratio, reference_nodes
+from .interp import bary_table, prolong_pairs
+from .mesh import UNIFORM, GridSide, Mesh, build_forward_grid, mesh_ratio, reference_nodes
 
 __all__ = [
     "DiscreteTerm",
@@ -99,8 +100,22 @@ class DistributedTerm:
         object.__setattr__(self, "kernel", _as_matrix_callback(self.kernel))
 
 
+class _BlockLayout:
+    """State layout ``[x-block, y-block]``: ``d_x`` renewal, ``d_y`` differential."""
+
+    @property
+    def d(self) -> int:
+        return self.d_x + self.d_y
+
+    def block_offset(self, block: str) -> int:
+        return 0 if block == "x" else self.d_x
+
+    def block_dim(self, block: str) -> int:
+        return self.d_x if block == "x" else self.d_y
+
+
 @dataclass(frozen=True, eq=False)
-class LinearPeriodicEquation:
+class LinearPeriodicEquation(_BlockLayout):
     """Linear omega-periodic delay equation split into renewal and
     differential blocks.
 
@@ -137,16 +152,6 @@ class LinearPeriodicEquation:
             self, "breakpoints", tuple(sorted(float(b) for b in self.breakpoints))
         )
 
-    @property
-    def d(self) -> int:
-        return self.d_x + self.d_y
-
-    def block_offset(self, block: str) -> int:
-        return 0 if block == "x" else self.d_x
-
-    def block_dim(self, block: str) -> int:
-        return self.d_x if block == "x" else self.d_y
-
 
 @dataclass(frozen=True, eq=False)
 class ExactSolution:
@@ -179,6 +184,8 @@ class PiecewiseSolution:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or v.shape[0] != b.size - 1:
             raise ValueError("values must have shape (L, degree + 1, d)")
+        if b[0] != 0.0:
+            raise ValueError(f"solution breakpoints must start at 0, not {b[0]!r}")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
 
@@ -206,19 +213,20 @@ class PiecewiseSolution:
     def mesh_ratio(self) -> float:
         return mesh_ratio(self.mesh)
 
+    @cached_property
+    def _side(self) -> GridSide:
+        return build_forward_grid(self.mesh, reference_nodes(self.node_kind, self.degree))
+
+    @cached_property
+    def _nodal(self) -> np.ndarray:
+        # node-major; a shared breakpoint takes the value of its right piece
+        return np.concatenate([self.values[:, :-1].reshape(-1, self.d), self.values[-1, -1:]])
+
     def __call__(self, t):
-        """Evaluate at any real ``t`` (reduced modulo the period)."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.mod(np.atleast_1d(t), self.omega)
-        b = self.breakpoints
-        idx = np.clip(np.searchsorted(b, tt, side="right") - 1, 0, self.L - 1)
-        h = b[idx + 1] - b[idx]
-        x = (tt - b[idx]) / h
-        table = bary_table(reference_nodes(self.node_kind, self.degree))
-        w = lagrange_matrix(table, x)
-        out = np.einsum("pj,pjd->pd", w, self.values[idx])
-        return out[0] if scalar else out
+        """Evaluate at any real ``t`` (reduced modulo the period),
+        elementwise: shape ``t.shape + (d,)``."""
+        cols, w = prolong_pairs(self._side, np.mod(t, self.omega))
+        return np.einsum("...k,...kd->...d", w, self._nodal[cols])
 
     def derivative(self) -> "PiecewiseSolution":
         """Piecewise derivative (not continuous across breakpoints)."""
@@ -240,26 +248,21 @@ class PiecewiseSolution:
 
 def sample_solution(fn, omega: float, mesh: Mesh, degree: int,
                     node_kind: str = UNIFORM) -> PiecewiseSolution:
-    """Sample a callable onto a piecewise polynomial over ``[0, omega]``.
+    """Sample a callable, one call per node, onto a piecewise polynomial
+    over ``[0, omega]``.
 
     ``mesh`` may span [0, 1] (it is then scaled by ``omega``) or [0, omega].
     """
-    b = mesh.breakpoints
-    if abs(b[-1] - 1.0) < 1e-12 and omega != 1.0:
-        b = b * omega
-    fam = reference_nodes(node_kind, degree)
-    L = b.size - 1
-    rows = []
-    for i in range(L):
-        nodes = b[i] + (b[i + 1] - b[i]) * fam.nodes
-        nodes[0], nodes[-1] = b[i], b[i + 1]
-        rows.append(np.asarray([np.atleast_1d(fn(t)) for t in nodes], dtype=float))
-    vals = np.asarray(rows)
-    return PiecewiseSolution(b, vals, node_kind)
+    if abs(mesh.breakpoints[-1] - 1.0) < 1e-12 and omega != 1.0:
+        mesh = mesh.scaled(omega)
+    side = build_forward_grid(mesh, reference_nodes(node_kind, degree))
+    vals = np.asarray([np.atleast_1d(fn(t)) for t in side.nodes], dtype=float)
+    pieces = np.arange(side.P)[:, None] * degree + np.arange(degree + 1)
+    return PiecewiseSolution(side.breakpoints, vals[pieces], node_kind)
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearProblem:
+class NonlinearProblem(_BlockLayout):
     """Nonlinear delay equation given by a right-hand-side callback.
 
     ``rhs(u)`` receives an evaluator of the state history: ``u(theta)`` for
@@ -283,10 +286,6 @@ class NonlinearProblem:
     linearize_terms: Callable | None = None
     params: dict = field(default_factory=dict)
 
-    @property
-    def d(self) -> int:
-        return self.d_x + self.d_y
-
 
 @dataclass(frozen=True, eq=False)
 class Builtin:
@@ -309,9 +308,10 @@ class MissingDerivativesError(ValueError):
     pass
 
 
-def term_values(term, p: int, q: int, *args) -> np.ndarray:
+def term_values(term, layout: _BlockLayout, *args) -> np.ndarray:
     """Call a term's coefficient (or kernel) at ``args`` and check that it
-    is elementwise: shape ``args[0].shape + (p, q)``."""
+    is elementwise: shape ``args[0].shape + (p, q)``, with ``p`` and ``q``
+    the dimensions of the term's target and source blocks in ``layout``."""
     if isinstance(term, DiscreteTerm):
         fn = term.coeff
         what = (f"coefficient of the discrete term {term.source} -> {term.target} "
@@ -321,7 +321,7 @@ def term_values(term, p: int, q: int, *args) -> np.ndarray:
         what = (f"kernel of the distributed term {term.source} -> {term.target} "
                 f"on [{term.lower!r}, {term.upper!r}]")
     out = np.asarray(fn(*args), dtype=float)
-    want = np.shape(args[0]) + (p, q)
+    want = np.shape(args[0]) + (layout.block_dim(term.target), layout.block_dim(term.source))
     if out.shape != want:
         raise ValueError(
             f"{what} returned shape {out.shape}, expected {want}: "
@@ -827,6 +827,8 @@ def write_solution(solution: PiecewiseSolution, path) -> None:
 
 
 def read_solution(path) -> PiecewiseSolution:
+    """Read the structured text solution format; a missing header key or a
+    file that ends early raises a ValueError naming what is missing."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for raw in fh:
@@ -842,17 +844,25 @@ def read_solution(path) -> PiecewiseSolution:
         head[key] = rest
     if head.get("format") != "1":
         raise ValueError("unsupported solution file format")
-    L = int(head["pieces"])
-    d = int(head["dim"])
-    m = int(head["degree"])
-    bps = np.array([float(next(it)) for _ in range(L + 1)])
-    marker = next(it)
-    if marker != "values":
+
+    missing = [key for key in ("omega", "dim", "degree", "pieces") if key not in head]
+    if missing:
+        raise ValueError(f"malformed solution file: no header line for {missing}")
+
+    def take(what):
+        line = next(it, None)
+        if line is None:
+            raise ValueError(f"malformed solution file: it ends before {what}")
+        return line
+
+    L, d, m = (int(head[key]) for key in ("pieces", "dim", "degree"))
+    bps = np.array([float(take(f"breakpoint {k}")) for k in range(L + 1)])
+    if take("the values section") != "values":
         raise ValueError("malformed solution file: missing values section")
     vals = np.empty((L, m + 1, d))
     for i in range(L):
         for j in range(m + 1):
-            vals[i, j] = [float(x) for x in next(it).split()]
+            vals[i, j] = [float(x) for x in take(f"value row {j} of piece {i}").split()]
     sol = PiecewiseSolution(bps, vals, head.get("nodes", UNIFORM))
     if abs(sol.omega - float(head["omega"])) > 1e-12 * max(1.0, sol.omega):
         raise ValueError("solution file omega does not match the breakpoints")

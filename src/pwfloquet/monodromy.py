@@ -169,11 +169,6 @@ class _Assembler:
         self.grid = grid
         self.triples = {name: [] for name in ("A1", "A2", "B1", "B2")}
 
-    def evaluate(self, term, *args) -> np.ndarray:
-        """Call a coefficient or kernel callback and check its shape."""
-        eq = self.eq
-        return term_values(term, eq.block_dim(term.target), eq.block_dim(term.source), *args)
-
     def add(self, hist, fwd, target, source, owner, coeff, side, s):
         """Add ``sum_k coeff[k] (x) weights(s[k])`` to the target rows of node
         ``owner[k]`` (nondecreasing in ``k``) of block ``hist`` or ``fwd``,
@@ -206,7 +201,7 @@ class _Assembler:
         t = grid.forward.nodes
         # fixed-point rows: the equation collocated at every forward node
         for term in eq.discrete:
-            coeff = self.evaluate(term, t)
+            coeff = term_values(term, eq, t)
             self.add_at_times("A1", "A2", term.target, term.source, coeff,
                               t - term.delay)
         for term in eq.distributed:
@@ -220,7 +215,7 @@ class _Assembler:
                                    (grid.forward, np.maximum(lo, 0.0), hi)):
                     owner, s, w = window_rule(side, a, b)
                     owner = rows[owner]
-                    kern = self.evaluate(term, t[owner], s - t[owner])
+                    kern = term_values(term, eq, t[owner], s - t[owner])
                     self.add("A1", "A2", term.target, term.source, owner,
                              w[:, None, None] * kern, side.label, s)
         # end-state rows: the reconstructed state at omega + theta

@@ -11,13 +11,15 @@ ignoring its causal block structure. ``fd_jacobian`` and
 way the periodic solver did before it assembled its Jacobian analytically.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
 ``kernel_quadrature`` are dense, one-window conveniences over the library's
-sparse weight builders.
+sparse weight builders; ``restrict`` samples a scalar-style callback node by
+node.
 """
 
 import numpy as np
 import scipy.linalg
 
-from pwfloquet.interp import breakpoint_weights, integral_weights, prolong_pairs, window_rule
+from pwfloquet.interp import (NodalFunction, breakpoint_weights, integral_weights,
+                              prolong_pairs, window_rule)
 
 
 FD_STEP = 1e-7
@@ -47,6 +49,12 @@ def central_jacobian(sys, state, step=1e-5):
         down[i] -= delta
         jac[:, i] = (sys.residual(up) - sys.residual(down)) / (2 * delta)
     return jac
+
+
+def restrict(f, side):
+    """Sample ``f`` at every node of the side, one scalar call per node."""
+    vals = np.asarray([np.atleast_1d(f(float(t))) for t in side.nodes])
+    return NodalFunction(side=side, values=vals)
 
 
 def prolong_weights(side, t):

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import integral_rows, prolong_eval
+from oracles import integral_rows, prolong_eval, restrict
 from pwfloquet.bvp import BvpProblem, solve_periodic
-from pwfloquet.interp import NodalFunction, restrict
+from pwfloquet.interp import NodalFunction
 from pwfloquet.mesh import (
     Mesh,
     build_forward_grid,

@@ -234,6 +234,43 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "convergence failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, ini", [
+        (["--tol", "nan"], None),
+        (["--tol", "inf"], None),
+        (["--tol", "0"], None),
+        (["--max-iters", "-1"], None),
+        ([], "[bvp]\ntol = nan\n"),
+        ([], "[bvp]\nmax_iters = -2\n"),
+    ], ids=["flag-nan", "flag-inf", "flag-zero", "flag-negative-iters", "ini-nan",
+            "ini-negative-iters"])
+    def test_bad_newton_settings_are_config_error(self, tmp_path, capsys, flags, ini):
+        # a tolerance of nan or inf must not pass the orbit guess off as a solution
+        out = tmp_path / "logistic.sol"
+        argv = ["solve", "--problem", "logistic", "-o", str(out)]
+        if ini is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(ini)
+            argv += ["--config", str(path)]
+        assert run(argv + flags) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("track", ["foo", "trivial,foo", ","])
+    def test_unknown_track_column_is_config_error(self, capsys, track):
+        argv = ["converge", "--problem", "tent", "--vary", "M", "--values", "4,8",
+                "--fixed", "1", "--mesh", "uniform:1", "--enforce", "ignore",
+                "--reference", "self:2,20", "--track", track]
+        assert run(argv) == 3
+        assert "--track" in capsys.readouterr().err
+
+    def test_truncated_solution_file_is_config_error(self, tmp_path, capsys):
+        lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
+        path = tmp_path / "short.sol"
+        path.write_text("".join(lines[:12]))
+        assert run(["multipliers", "--problem", "plant", "--mesh", "solution", "-M", "4",
+                    "--solution-file", str(path)]) == 3
+        assert "ends before breakpoint 4" in capsys.readouterr().err
+
 
 class TestConfigHash:
     def test_parameter_order_does_not_change_the_hash(self, tmp_path):

@@ -18,13 +18,12 @@ from pwfloquet.mesh import (
 from pwfloquet.interp import (
     NodalFunction,
     bary_table,
-    derivative_matrix_at,
     integral_weights,
     lagrange_matrix,
     prolong_pairs,
-    restrict,
 )
-from oracles import integral_rows, kernel_quadrature, prolong_eval, prolong_weights
+from pwfloquet.model import PiecewiseSolution, data_path, read_solution
+from oracles import integral_rows, kernel_quadrature, prolong_eval, prolong_weights, restrict
 
 EPS = np.finfo(float).eps
 
@@ -297,7 +296,7 @@ class TestDerivativeMatrix:
         poly = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.25, -0.1])
         vals = poly(tab.family.nodes)
         xs = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
-        d = derivative_matrix_at(tab, xs) @ vals
+        d = lagrange_matrix(tab, xs) @ tab.diff @ vals
         assert np.allclose(d, poly.deriv()(xs), atol=1e-12)
 
 
@@ -361,3 +360,35 @@ class TestBatchedWeights:
         got = integral_rows(side, ts) @ poly(side.nodes)
         want = poly.integ()(ts) - poly.integ()(0.0)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+class TestPiecewiseSolutionAtNodes:
+    """A solution evaluated at its own grid nodes returns the stored values
+    bit for bit: a shared breakpoint the value of the piece on its right,
+    the period end the value at 0 (the evaluation is periodic)."""
+
+    def check(self, sol):
+        m, om = sol.degree, sol.omega
+        nodes = forward(sol.breakpoints, reference_nodes(sol.node_kind, m)).nodes
+        want = np.concatenate([sol.values[:, :-1].reshape(-1, sol.d), sol.values[-1, -1:]])
+        want[-1] = sol.values[0, 0]
+        assert np.array_equal(nodes[::m], sol.breakpoints)
+        assert np.array_equal(sol(nodes), want)
+        for t in nodes:
+            assert np.array_equal(sol(t), want[nodes == t][0])
+        # shifted by -omega and +omega, wherever the shift is undone exactly
+        for k in (-1, 1):
+            shifted = nodes + k * om
+            back = np.mod(shifted, om) == np.where(nodes == om, 0.0, nodes)
+            assert back.any()
+            assert np.array_equal(sol(shifted[back]), want[back])
+
+    def test_shipped_plant_orbit(self):
+        self.check(read_solution(data_path("plant_solution.sol")))
+
+    @given(side=sides(), d=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sides(self, side, d):
+        m = side.family.degree
+        vals = np.random.default_rng(side.P * 31 + m).normal(size=(side.P, m + 1, d))
+        self.check(PiecewiseSolution(side.breakpoints, vals, side.family.kind))

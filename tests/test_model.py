@@ -14,8 +14,10 @@ from pwfloquet.model import (
     LinearPeriodicEquation,
     MissingDerivativesError,
     NonlinearProblem,
+    PiecewiseSolution,
     builtin,
     coupled_view_of_plant,
+    data_path,
     integrate_orbit_guess,
     linearize,
     plant_v0,
@@ -259,6 +261,23 @@ class TestSolutionIO:
         write_solution(back, p2)
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_missing_header_key_is_named(self, tmp_path):
+        text = data_path("plant_solution.sol").read_text()
+        p = tmp_path / "s.sol"
+        p.write_text(text.replace("pieces 30\n", ""))
+        with pytest.raises(ValueError, match=r"no header line for \['pieces'\]"):
+            read_solution(p)
+
+    @pytest.mark.parametrize("keep, missing", [
+        (12, "breakpoint 4"), (8, "breakpoint 0"), (39, "the values section"),
+        (-1, "value row 5 of piece 29")])
+    def test_early_end_is_named(self, tmp_path, keep, missing):
+        lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
+        p = tmp_path / "s.sol"
+        p.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=f"ends before {missing}"):
+            read_solution(p)
+
 
 class TestValidationErrors:
     def test_unknown_builtin(self):
@@ -284,6 +303,11 @@ class TestValidationErrors:
                 kind="re", d_x=1, d_y=0, omega=1.0, tau=1.0,
                 distributed=(DistributedTerm("x", "x", -0.5, -0.9, np.eye(1)),),
             )
+
+    def test_solution_breakpoints_start_at_zero(self):
+        # evaluation reduces times modulo the period onto [0, omega]
+        with pytest.raises(ValueError, match="must start at 0"):
+            PiecewiseSolution(np.array([0.5, 1.0, 2.0]), np.zeros((2, 3, 1)))
 
 
 def _delayed_vdp(tau, thetas=None):

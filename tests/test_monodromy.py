@@ -3,8 +3,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from oracles import dense_monodromy, rk4_method_of_steps
-from pwfloquet.interp import breakpoint_weights, restrict
+from oracles import dense_monodromy, restrict, rk4_method_of_steps
+from pwfloquet.interp import breakpoint_weights
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
