@@ -38,7 +38,12 @@ from typing import Callable
 
 import numpy as np
 
-from .interp import bary_table, lagrange_matrix, prolong_pairs, window_rule
+from .interp import (
+    bary_table,
+    lagrange_matrix,
+    prolong_pairs,
+    window_rule,
+)
 from .mesh import UNIFORM, Mesh, build_forward_grid, reference_nodes
 from .model import MissingDerivativesError, NonlinearProblem, PiecewiseSolution, term_values
 
@@ -405,6 +410,8 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
         values=sys.nodal_view(state[:-1]),
         node_kind=UNIFORM,
     )
-    return BvpResult(solution=solution, period=period, iterations=iterations,
-                     residual_norm=rnorm)
+    return BvpResult(
+        solution=solution, period=period, iterations=iterations,
+        residual_norm=rnorm,
+    )
 

@@ -260,7 +260,8 @@ def build_grid(mesh: Mesh, family: NodeFamily, tau: float) -> CollocationGrid:
     return CollocationGrid(
         forward=build_forward_grid(mesh, family),
         history=build_history_grid(mesh, family, tau),
-        omega=float(mesh.breakpoints[-1]), mesh=mesh, family=family,
+        omega=float(mesh.breakpoints[-1]),
+        mesh=mesh, family=family,
     )
 
 

@@ -217,16 +217,16 @@ class PiecewiseSolution:
     def _side(self) -> GridSide:
         return build_forward_grid(self.mesh, reference_nodes(self.node_kind, self.degree))
 
-    @cached_property
-    def _nodal(self) -> np.ndarray:
-        # node-major; a shared breakpoint takes the value of its right piece
-        return np.concatenate([self.values[:, :-1].reshape(-1, self.d), self.values[-1, -1:]])
-
     def __call__(self, t):
         """Evaluate at any real ``t`` (reduced modulo the period),
         elementwise: shape ``t.shape + (d,)``."""
-        cols, w = prolong_pairs(self._side, np.mod(t, self.omega))
-        return np.einsum("...k,...kd->...d", w, self._nodal[cols])
+        tt = np.mod(t, self.omega)
+        cols, w = prolong_pairs(self._side, tt)
+        # rows of the piece-major values; an interior breakpoint takes the
+        # value of the piece on its right
+        rows = cols + cols[..., :1] // self.degree
+        rows[..., -1] += (self._side.nodes[cols[..., -1]] == tt) & (tt < self.omega)
+        return np.einsum("...k,...kd->...d", w, self.values.reshape(-1, self.d)[rows])
 
     def derivative(self) -> "PiecewiseSolution":
         """Piecewise derivative (not continuous across breakpoints)."""
@@ -855,7 +855,9 @@ def read_solution(path) -> PiecewiseSolution:
             raise ValueError(f"malformed solution file: it ends before {what}")
         return line
 
-    L, d, m = (int(head[key]) for key in ("pieces", "dim", "degree"))
+    L = int(head["pieces"])
+    d = int(head["dim"])
+    m = int(head["degree"])
     bps = np.array([float(take(f"breakpoint {k}")) for k in range(L + 1)])
     if take("the values section") != "values":
         raise ValueError("malformed solution file: missing values section")

@@ -22,7 +22,7 @@ from pwfloquet.interp import (
     lagrange_matrix,
     prolong_pairs,
 )
-from pwfloquet.model import PiecewiseSolution, data_path, read_solution
+from pwfloquet.model import PiecewiseSolution, data_path, read_solution, sample_solution
 from oracles import integral_rows, kernel_quadrature, prolong_eval, prolong_weights, restrict
 
 EPS = np.finfo(float).eps
@@ -392,3 +392,35 @@ class TestPiecewiseSolutionAtNodes:
         m = side.family.degree
         vals = np.random.default_rng(side.P * 31 + m).normal(size=(side.P, m + 1, d))
         self.check(PiecewiseSolution(side.breakpoints, vals, side.family.kind))
+
+
+class TestDiscontinuousPiecewiseSolution:
+    """Inside a piece, a solution is that piece's own polynomial, even when
+    the pieces disagree at their shared breakpoints."""
+
+    def test_two_linear_pieces(self):
+        sol = PiecewiseSolution(np.array([0.0, 1.0, 2.0]),
+                                np.array([[[0.0], [1.0]], [[5.0], [6.0]]]))
+        assert np.array_equal(sol(np.array([0.5, 1.0, 1.5, 2.0])),
+                              [[0.5], [5.0], [5.5], [0.0]])
+
+    @given(data=st.data(), side=sides(), d=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pieces_match_piecewise_lagrange(self, data, side, d):
+        m, b = side.family.degree, side.breakpoints
+        vals = np.random.default_rng(side.P * 17 + m).normal(size=(side.P, m + 1, d))
+        sol = PiecewiseSolution(b, vals, side.family.kind)
+        i = np.array(data.draw(st.lists(st.integers(0, side.P - 1), min_size=1, max_size=8)))
+        x = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=i.size,
+                                        max_size=i.size)))
+        ts = b[i] + x * (b[i + 1] - b[i])
+        xs = (ts - b[i]) / (b[i + 1] - b[i])
+        want = np.einsum("kj,kjd->kd", lagrange_matrix(bary_table(side.family), xs), vals[i])
+        scale = np.abs(vals).max() * np.abs(bary_table(side.family).weights).sum()
+        assert np.abs(sol(ts) - want).max() <= 1e-13 * scale
+
+    def test_derivative_of_a_kinked_sample(self):
+        # |t - 1| on pieces [0, 1] and [1, 2]: slope -1, then +1
+        sol = sample_solution(lambda t: abs(t - 1.0), 2.0, Mesh([0.0, 1.0, 2.0]), 3)
+        ts = np.array([0.25, 0.5, 0.99, 1.0, 1.01, 1.75])
+        assert np.abs(sol.derivative()(ts)[:, 0] - [-1, -1, -1, 1, 1, 1]).max() <= 1e-12
