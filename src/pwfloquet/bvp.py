@@ -55,6 +55,7 @@ __all__ = [
     "GAUSS_LEGENDRE",
     "CHEBYSHEV_ZEROS",
     "solve_periodic",
+    "check_newton_settings",
     "residual",
 ]
 
@@ -335,6 +336,14 @@ def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.nd
     return sys.residual(state)
 
 
+def check_newton_settings(tol: float, max_iters: int) -> None:
+    """Raise ValueError unless ``tol`` is positive and finite and
+    ``max_iters`` nonnegative, as ``solve_periodic`` requires."""
+    if not (0.0 < tol < np.inf) or max_iters < 0:
+        raise ValueError(f"tol must be positive and finite and max_iters nonnegative, "
+                         f"not tol={tol!r}, max_iters={max_iters!r}")
+
+
 def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
                    max_iters: int = 50) -> BvpResult:
     """Solve the collocation system for a periodic solution.
@@ -369,9 +378,7 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
     ConvergenceError
         If the residual does not reach ``tol`` within ``max_iters``.
     """
-    if not (0.0 < tol < np.inf) or max_iters < 0:
-        raise ValueError(f"tol must be positive and finite and max_iters nonnegative, "
-                         f"not tol={tol!r}, max_iters={max_iters!r}")
+    check_newton_settings(tol, max_iters)
     if bvp.problem.linearize_terms is None:
         raise MissingDerivativesError(
             f"problem {bvp.problem.name!r} does not provide derivative callbacks "

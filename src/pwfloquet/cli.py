@@ -156,6 +156,8 @@ def _bvp_mesh(cfg: RunConfig) -> Mesh:
 def _solve(cfg: RunConfig, built: model.Builtin) -> bvp_mod.BvpResult:
     if built.problem is None:
         raise ConfigError(f"problem {built.name!r} is linear; nothing to solve")
+    # before the guess, whose orbit integration can take seconds
+    bvp_mod.check_newton_settings(cfg.bvp_tol, cfg.bvp_max_iters)
     mesh01 = _bvp_mesh(cfg)
     if cfg.guess_file:
         guess = model.read_solution(cfg.guess_file)
@@ -302,11 +304,20 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         raise ConfigError(f"unknown --track {track!r}: expected trivial, dominant or both")
     built = _get_builtin(cfg)
     eq, solution = _linear_equation(cfg, built)
+    # meshes are uniform with L pieces, unless the source gives one mesh (the
+    # solved orbit's, a refinement of it or a file), on which only M can vary
+    fixed_mesh = None
+    if not cfg.mesh_source.startswith("uniform:") and (
+            cfg.mesh_source != "solution" or isinstance(solution, model.PiecewiseSolution)):
+        if vary == "L":
+            raise ConfigError(f"--vary L needs uniform meshes, but mesh source "
+                              f"{cfg.mesh_source!r} gives a single mesh "
+                              "(use --mesh uniform:<L>)")
+        fixed_mesh = _monodromy_mesh(cfg, eq, solution)
 
     def run(L, M):
-        if cfg.mesh_source == "solution" and isinstance(solution, model.PiecewiseSolution):
-            mesh = solution.mesh
-        else:
+        mesh = fixed_mesh
+        if mesh is None:
             mesh = Mesh(np.linspace(0.0, eq.omega, L + 1))
         disc = monodromy.assemble(eq, mesh, chebyshev_family(M), enforce=cfg.enforce)
         return monodromy.multipliers(disc)

@@ -26,12 +26,20 @@ equals ``B1`` in its other columns) and sums the integrals of ``X`` piece by
 piece; ``X`` and ``T`` are the only dense arrays. Higham's estimate of
 ``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``) against the
 exact ``||I - A2||_1`` gives ``rcond``, which must reach ``1e-14``.
-``multipliers`` computes eigenvalues only; ``eigenfunction`` computes the
+
+``multipliers`` computes eigenvalues only. Up to ``DENSE_DIM`` it takes
+every eigenvalue of ``T`` (``numpy.linalg.eigvals``). Above it, the verdict
+and the trivial multiplier need only the multipliers of largest modulus, and
+an Arnoldi iteration on ``T`` returns at least ``LEADING`` of them, down to a
+modulus below ``1 - TRIVIAL_RADIUS``, each Ritz pair with a residual bound
+within ``KRYLOV_TOL ||T||_1``; when the basis would exceed ``dim // 2``
+vectors first, ``eigvals`` is taken instead. ``eigenfunction`` computes the
 eigenvectors when asked.
 """
 
 from __future__ import annotations
 
+import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +68,12 @@ ENFORCE_CHOICES = ("merge", "strict", "ignore")
 TOL_DISCARD = 1e-12
 TOL_STAB = 1e-6
 TRIVIAL_RADIUS = 0.1
+# Above DENSE_DIM, an Arnoldi iteration finds the LEADING or more multipliers
+# of largest modulus, every Ritz pair within KRYLOV_TOL ||T||_1 (see
+# ``_leading_eigvals``); up to it, every eigenvalue is computed.
+DENSE_DIM = 200
+LEADING = 24
+KRYLOV_TOL = 1e-14
 
 
 class CoarseDiscretizationError(RuntimeError):
@@ -102,7 +116,10 @@ class MonodromyDiscretization:
     # multipliers are complex128 regardless
     @cached_property
     def _eigvals(self) -> np.ndarray:
-        return _modulus_sorted(np.linalg.eigvals(self.T).astype(complex))
+        vals = None if self.dim <= DENSE_DIM else _leading_eigvals(self.T)
+        if vals is None:
+            vals = np.linalg.eigvals(self.T).astype(complex)
+        return _modulus_sorted(vals)
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +131,12 @@ class MonodromyDiscretization:
 class MultiplierSet:
     """Approximate Floquet multipliers, sorted by decreasing modulus.
 
-    ``spurious`` flags eigenvalues with modulus below ``TOL_DISCARD`` (they
-    are kept in the list). The stability verdict ignores the trivial
-    multiplier.
+    Up to ``DENSE_DIM``, ``values`` holds every eigenvalue of ``T``; above
+    it, only the leading ones: at least ``LEADING``, conjugate pairs whole,
+    down to a modulus below ``1 - TRIVIAL_RADIUS``, so that the trivial
+    multiplier and the verdict are those of the full spectrum.
+    ``spurious`` flags values with modulus below ``TOL_DISCARD`` (they are
+    kept in the list). The stability verdict ignores the trivial multiplier.
     """
 
     values: np.ndarray
@@ -447,12 +467,62 @@ def _modulus_sorted(vals: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
+def _leading_eigvals(t: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of largest modulus of ``t`` by an Arnoldi iteration, or
+    None when the basis would need more than ``dim // 2`` vectors.
+
+    The basis starts from a fixed pseudo-random vector, is orthogonalized by
+    classical Gram-Schmidt run twice (CGS2) and grows by 10 vectors at a
+    time from ``2 LEADING``. A Ritz pair ``(theta, V y)`` with ``||y|| = 1``
+    has the residual norm ``|h_{m+1,m}| |e_m^T y|``. Taken in modulus order,
+    the Ritz values up to the first whose bound exceeds ``KRYLOV_TOL
+    ||t||_1`` are returned once they number at least ``LEADING`` and reach
+    below ``1 - TRIVIAL_RADIUS``. No restart is needed: on plant at M = 40
+    the basis stops at 78 vectors for ``dim`` 1042.
+    """
+    dim = t.shape[0]
+    norm1 = np.abs(t).sum(axis=0).max()
+    # the stdlib generator: numpy.random would take 15 ms and 6 MB to load
+    rng = random.Random(0)
+    v = np.array([rng.random() for _ in range(dim)]) - 0.5
+    basis, hess = (v / np.linalg.norm(v))[None], np.zeros((1, 0))
+    for m in range(2 * LEADING, dim // 2 + 1, 10):
+        k = hess.shape[1]
+        basis = np.concatenate([basis, np.empty((m - k, dim))])
+        hess = np.pad(hess, ((0, m - k), (0, m - k)))
+        for j in range(k, m):
+            w = t @ basis[j]
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            dh = basis[:j + 1] @ w
+            w -= dh @ basis[:j + 1]
+            hess[:j + 1, j] = h + dh
+            hess[j + 1, j] = beta = np.linalg.norm(w)
+            # an invariant subspace: its Ritz values would lose multiplicities
+            if beta <= np.finfo(float).eps * norm1:
+                return None
+            basis[j + 1] = w / beta
+        vals, vecs = np.linalg.eig(hess[:m])
+        # numpy returns conjugate Ritz pairs with conjugate vectors, so the
+        # two share their bound; sorted next to each other, by modulus and
+        # then |angle|, the first bound over the tolerance never splits them
+        angle = np.angle(vals)
+        order = np.lexsort((angle, np.abs(angle), -np.abs(vals)))
+        bound = hess[m, m - 1] * np.abs(vecs[-1, order])
+        passed = np.logical_and.accumulate(bound <= KRYLOV_TOL * norm1)
+        top = vals[order[:passed.sum()]]
+        if top.size >= LEADING and abs(top[-1]) < 1.0 - TRIVIAL_RADIUS:
+            return top.astype(complex)
+    return None
+
+
 def multipliers(disc: MonodromyDiscretization) -> MultiplierSet:
     """Extract approximate Floquet multipliers from a discretization.
 
     Takes the eigenvalues of the assembled monodromy matrix (eigenvalues
-    only). Eigenvalues with modulus below ``TOL_DISCARD`` are flagged as
-    numerically spurious but kept.
+    only): all of them up to ``DENSE_DIM``, the leading ones above it (see
+    :class:`MultiplierSet`). Values with modulus below ``TOL_DISCARD`` are
+    flagged as numerically spurious but kept.
     """
     vals = disc._eigvals
     mods = np.abs(vals)

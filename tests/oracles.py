@@ -6,7 +6,8 @@ interpolated history, and quadrature checks go through scipy's adaptive
 routines. ``orbit_guess_per_call`` keeps the straightforward per-call history
 evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
 ``dense_monodromy`` forms the monodromy matrix by a dense LU of ``I - A2``,
-ignoring its causal block structure. ``fd_jacobian`` and
+ignoring its causal block structure, and ``dense_multipliers`` lists every
+eigenvalue of it. ``fd_jacobian`` and
 ``central_jacobian`` differentiate the BVP residual column by column, the
 way the periodic solver did before it assembled its Jacobian analytically.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
@@ -111,6 +112,13 @@ def dense_monodromy(blocks):
     rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
     assert info == 0
     return b1 + b2 @ scipy.linalg.lu_solve((lu, piv), a1), float(rcond)
+
+
+def dense_multipliers(t):
+    """Every eigenvalue of ``t`` (``numpy.linalg.eigvals``) as complex128,
+    by decreasing modulus, then by angle."""
+    vals = np.linalg.eigvals(t).astype(complex)
+    return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
 def rk4_method_of_steps(terms, psi, t_end, step):

@@ -128,6 +128,49 @@ class TestConverge:
                     "--reference", "nonsense"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "logistic"],
+        ["--problem", "plant", "--mesh", "refined:auto"],
+        ["--problem", "plant", "--mesh", f"file:{data_path('plant_adapted.mesh')}"],
+    ], ids=["solution", "refined", "file"])
+    def test_vary_L_on_a_single_mesh_is_config_error(self, capsys, argv):
+        # these sources give one mesh, whatever L is; the sweep used to print
+        # the same row for every L and a fitted order near 0
+        if argv[1] == "plant":
+            argv = argv + ["--solution-file", str(data_path("plant_solution.sol"))]
+        code = run(["converge", "--vary", "L", "--values", "5,10,20", "--fixed", "4",
+                    "--reference", "self:40,8"] + argv)
+        assert code == 3
+        assert "--vary L needs uniform meshes" in capsys.readouterr().err
+
+    def test_vary_M_runs_on_the_file_mesh(self, tmp_path):
+        from pwfloquet.mesh import chebyshev_family, read_mesh
+        from pwfloquet.model import builtin, linearize
+        from pwfloquet.monodromy import assemble, multipliers
+
+        mesh_path, sol_path = data_path("plant_adapted.mesh"), data_path("plant_solution.sol")
+        out = tmp_path / "sweep.csv"
+        assert run(["converge", "--problem", "plant", "--solution-file", str(sol_path),
+                    "--mesh", f"file:{mesh_path}", "--vary", "M", "--values", "2,3",
+                    "--fixed", "1", "--reference", "value:0.5", "--track", "trivial",
+                    "--enforce", "ignore", "-o", str(out)]) == 0
+        sol = read_solution(sol_path)
+        eq = linearize(builtin("plant").problem, sol)
+        mesh = read_mesh(mesh_path).scaled(sol.omega)
+        # with the orbit's breakpoints left out, a uniform mesh would differ
+        want = [abs(multipliers(assemble(eq, mesh, chebyshev_family(M), enforce="ignore"))
+                    .trivial() - 1.0) for M in (2, 3)]
+        rows = [l for l in out.read_text().splitlines() if l[:1].isdigit()]
+        assert [float(r.split(",")[1]) for r in rows] == want
+
+    def test_single_mesh_source_needs_a_piecewise_solution(self, capsys):
+        # tent is linear: refined:auto has no solution mesh to refine, as
+        # for multipliers, instead of running uniform meshes
+        code = run(["converge", "--problem", "tent", "--vary", "M", "--values", "4,8",
+                    "--fixed", "1", "--mesh", "refined:auto", "--reference", "self:2,20"])
+        assert code == 3
+        assert "needs a piecewise solution" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_ini_roundtrip(self, tmp_path, capsys):
@@ -254,6 +297,23 @@ class TestExitCodes:
         assert run(argv + flags) == 3
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "plant", "--tol", "nan"],
+        ["solve", "--problem", "logistic", "--max-iters", "-1"],
+        ["multipliers", "--problem", "plant", "--tol", "0"],
+    ], ids=["solve-plant-nan", "solve-logistic-iters", "multipliers-plant-zero"])
+    def test_bad_newton_settings_fail_before_the_orbit_guess(self, monkeypatch, capsys,
+                                                            argv):
+        # the plant guess integrates 600 time units (about 1.8 s) first
+        from pwfloquet import model
+
+        calls = []
+        monkeypatch.setattr(model, "integrate_orbit_guess",
+                            lambda *args, **kwargs: calls.append(args))
+        assert run(argv) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("track", ["foo", "trivial,foo", ","])
     def test_unknown_track_column_is_config_error(self, capsys, track):

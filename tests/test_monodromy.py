@@ -3,7 +3,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from oracles import dense_monodromy, restrict, rk4_method_of_steps
+from oracles import dense_monodromy, dense_multipliers, restrict, rk4_method_of_steps
 from pwfloquet.interp import breakpoint_weights
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
@@ -16,8 +16,12 @@ from pwfloquet.model import (
 )
 from pwfloquet import monodromy
 from pwfloquet.monodromy import (
+    DENSE_DIM,
+    LEADING,
+    TRIVIAL_RADIUS,
     CoarseDiscretizationError,
     MissingBreakpointsError,
+    MonodromyDiscretization,
     assemble,
     eigenfunction,
     multipliers,
@@ -160,13 +164,7 @@ class TestMultiplierSet:
 
 class TestEigenfunction:
     def test_two_by_two_toy(self):
-        from pwfloquet.monodromy import MonodromyDiscretization
-        eq = scalar_dde([(0.0, 0.0)], omega=1.0, tau=1.0)
-        base = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(1))
-        toy = MonodromyDiscretization(
-            equation=base.equation, grid=base.grid, parts=base.parts,
-            T=np.array([[2.0, 0.0], [0.0, 0.5]]),
-        )
+        toy = _around(np.array([[2.0, 0.0], [0.0, 0.5]]))
         e0 = eigenfunction(toy, 0).values[:, 0]
         e1 = eigenfunction(toy, 1).values[:, 0]
         assert np.allclose(np.abs(e0), [1.0, 0.0])
@@ -517,3 +515,150 @@ class TestCallbackConvention:
         kind = "distributed" if distributed else "discrete"
         with pytest.raises(ValueError, match=rf"{kind} term y -> y.*\(1, 1, \d+\).*elementwise"):
             assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(4))
+
+
+def _around(t_mat):
+    """A discretization whose monodromy matrix is ``t_mat``; its grid has 2
+    history nodes, which only ``eigenfunction`` reads."""
+    base = assemble(scalar_dde([(0.0, 0.0)], omega=1.0, tau=1.0), Mesh([0.0, 1.0]),
+                    chebyshev_family(1))
+    return MonodromyDiscretization(equation=base.equation, grid=base.grid,
+                                   parts=base.parts, T=t_mat)
+
+
+def _synthetic(spectrum, dim, seed):
+    """Real ``Q D Q^{-1}`` of size ``dim``: ``D`` has a 1x1 block for each
+    real value of ``spectrum`` and a rotation-scaling 2x2 block for each
+    complex one (the value and its conjugate), zeros elsewhere."""
+    d, i = np.zeros((dim, dim)), 0
+    for mu in spectrum:
+        if mu.imag == 0.0:
+            d[i, i], i = mu.real, i + 1
+        else:
+            d[i:i + 2, i:i + 2], i = [[mu.real, mu.imag], [-mu.imag, mu.real]], i + 2
+    q = np.random.default_rng(seed).standard_normal((dim, dim))
+    return q @ d @ np.linalg.inv(q)
+
+
+def _leading_spectrum(lead, near, seed=1):
+    """``lead``, the trivial 1, the moduli ``near``, about 60 % of them with
+    a conjugate pair's angle, and a decaying tail from 0.6."""
+    rng = np.random.default_rng(seed)
+    near = near * np.exp(1j * rng.uniform(0.2, 3.0, near.size) * (rng.random(near.size) < 0.6))
+    tail = 0.6 * 0.93 ** np.arange(60) * np.exp(
+        1j * rng.uniform(0.0, 3.0, 60) * (rng.random(60) < 0.5))
+    return np.concatenate([[lead, 1.0], near, tail])
+
+
+# more than 2 LEADING eigenvalues above 0.9, so the Arnoldi basis must grow:
+# clustered in (0.91, 0.99), or spread over (0.91, 3.8), where LEADING of
+# them converge before the iteration reaches below 0.9
+CLUSTER = np.random.default_rng(0).uniform(0.91, 0.99, 40)
+SPREAD = 0.91 * 1.03 ** np.arange(50)
+
+
+def _annulus_spectrum(seed=2):
+    """120 complex pairs spread over the annulus 0.49 < |mu| < 0.98: no
+    modulus stands apart, so Arnoldi does not converge within ``dim // 2``."""
+    rng = np.random.default_rng(seed)
+    return 0.98 * np.sqrt(rng.uniform(0.25, 1.0, 120)) * np.exp(1j * rng.uniform(0.1, 3.0, 120))
+
+
+def _dense_reference(disc, monkeypatch):
+    """``multipliers`` on every eigenvalue: the verdict and trivial index to
+    compare with."""
+    with monkeypatch.context() as m:
+        m.setattr(monodromy, "DENSE_DIM", disc.dim)
+        return multipliers(_around(disc.T))
+
+
+def _assert_leading(ms, full, rtol):
+    """``ms.values`` are the leading ``len(ms)`` of ``full``: moduli in order
+    and each value near one of ``full``, within ``rtol``; conjugate pairs
+    whole; the last modulus below ``1 - TRIVIAL_RADIUS``."""
+    vals, n = ms.values, len(ms)
+    mods = np.abs(vals)
+    assert LEADING <= n < full.size
+    assert mods[-1] < 1.0 - TRIVIAL_RADIUS
+    assert np.all(np.abs(mods - np.abs(full[:n])) <= rtol * mods)
+    assert np.all(np.abs(vals[:, None] - full[None, :]).min(axis=1) <= rtol * mods)
+    assert np.all(np.isin(np.conj(vals), vals))
+
+
+class TestLeadingMultipliers:
+    @pytest.fixture(scope="class")
+    def large(self):
+        return {"plant": _causal_case("plant", None, 40),
+                "quadratic-re": _causal_case("quadratic-re", np.linspace(0.0, 1.0, 41), 15)}
+
+    @pytest.mark.parametrize("name, dim", [("plant", 1042), ("quadratic-re", 451)])
+    def test_matches_every_eigenvalue(self, large, monkeypatch, name, dim):
+        disc = large[name]
+        assert disc.dim == dim > DENSE_DIM
+        ms, ref = multipliers(disc), _dense_reference(disc, monkeypatch)
+        _assert_leading(ms, dense_multipliers(disc.T), 1e-10)
+        assert ms.verdict == ref.verdict == "stable"
+        assert ms.trivial_index == ref.trivial_index == 0
+
+    def test_runs_are_bit_identical(self, large):
+        again = _causal_case("quadratic-re", np.linspace(0.0, 1.0, 41), 15)
+        first, second = multipliers(large["quadratic-re"]).values, multipliers(again).values
+        assert first is not second
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("disc", [
+        lambda: _causal_case("tent", [0.0, 0.5, 1.0], 40),
+        lambda: _causal_case("logistic", np.linspace(0.0, 1.0, 9), 10),
+        lambda: _causal_case("quadratic-re", np.linspace(0.0, 1.0, 5), 15),
+        lambda: _causal_case("plant-coupled", None, 5),
+    ], ids=["tent", "logistic", "quadratic-re", "plant-coupled"])
+    def test_small_problems_list_every_eigenvalue(self, disc):
+        disc = disc()
+        assert disc.dim <= DENSE_DIM
+        vals = multipliers(disc).values
+        assert vals.size == disc.dim
+        assert np.array_equal(vals, dense_multipliers(disc.T))
+
+    def test_dense_up_to_dense_dim(self, large):
+        # leading blocks of quadratic-re's T, on which Arnoldi converges
+        t_mat = large["quadratic-re"].T
+        at = _around(np.asfortranarray(t_mat[:DENSE_DIM, :DENSE_DIM]))
+        assert np.array_equal(multipliers(at).values, dense_multipliers(at.T))
+        above = _around(np.asfortranarray(t_mat[:DENSE_DIM + 1, :DENSE_DIM + 1]))
+        _assert_leading(multipliers(above), dense_multipliers(above.T), 1e-10)
+
+    @pytest.mark.parametrize("lead, near, verdict", [
+        (1.3, CLUSTER, "unstable"), (0.995, CLUSTER, "stable"),
+        (1.0 + 1e-7, CLUSTER, "inconclusive"), (1.3, SPREAD, "unstable"),
+    ], ids=["cluster-unstable", "cluster-stable", "cluster-inconclusive", "spread"])
+    def test_many_leading_moduli_extend_the_basis(self, monkeypatch, lead, near, verdict):
+        disc = _around(_synthetic(_leading_spectrum(lead, near), 300, 0))
+        ms, full = multipliers(disc), dense_multipliers(disc.T)
+        assert np.count_nonzero(np.abs(full) > 1.0 - TRIVIAL_RADIUS) > 2 * LEADING
+        _assert_leading(ms, full, 1e-10)
+        assert len(ms) > 2 * LEADING  # more than the first basis holds
+        ref = _dense_reference(disc, monkeypatch)
+        assert ms.verdict == ref.verdict == verdict
+        assert ms.trivial() == pytest.approx(ref.trivial(), abs=1e-12)
+        assert ms.trivial_index == ref.trivial_index
+
+    def test_slow_convergence_falls_back_to_every_eigenvalue(self, monkeypatch):
+        disc = _around(_synthetic(_annulus_spectrum(), 240, 0))
+        assert disc.dim > DENSE_DIM
+        ms = multipliers(disc)
+        assert np.array_equal(ms.values, dense_multipliers(disc.T))
+        ref = _dense_reference(disc, monkeypatch)
+        assert ms.verdict == ref.verdict == "stable"
+        assert ms.trivial_index is ref.trivial_index is None
+
+    @pytest.mark.parametrize("t_mat", [
+        lambda: np.zeros((240, 240)),
+        lambda: _synthetic(np.linspace(1.0, 0.2, 10), 240, 3),
+    ], ids=["zero", "rank-10"])
+    def test_invariant_subspace_falls_back_to_every_eigenvalue(self, t_mat):
+        # the Krylov space stops growing: its Ritz values would lack the
+        # multiplicities, so every eigenvalue is computed instead
+        disc = _around(t_mat())
+        ms = multipliers(disc)
+        assert np.array_equal(ms.values, dense_multipliers(disc.T))
+        assert ms.verdict == "stable"
