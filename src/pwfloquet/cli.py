@@ -314,6 +314,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
                               f"{cfg.mesh_source!r} gives a single mesh "
                               "(use --mesh uniform:<L>)")
         fixed_mesh = _monodromy_mesh(cfg, eq, solution)
+    one_mesh = None if fixed_mesh is None else f"mesh {cfg.mesh_source} L={fixed_mesh.L}"
 
     def run(L, M):
         mesh = fixed_mesh
@@ -332,7 +333,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         ms_ref = run(L_ref, M_ref)
         ref = (ms_ref.dominant_nontrivial() if ms_ref.trivial_index is not None
                else ms_ref.dominant())
-        ref_desc = f"self-computed L={L_ref} M={M_ref} value={ref}"
+        ref_desc = f"self-computed {one_mesh or f'L={L_ref}'} M={M_ref} value={ref}"
     else:
         raise ConfigError(f"unknown reference spec {ref_spec!r} "
                           "(expected self:<L>,<M> or value:<re>[,<im>])")
@@ -355,7 +356,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         "# pwfloquet converge",
         f"# config_hash={cfg.hash()}",
         f"# problem={built.name} params={sorted(built.params.items())}",
-        f"# sweep: vary {vary}, fixed {'L' if vary == 'M' else 'M'}={fixed}",
+        f"# sweep: vary {vary}, " + (one_mesh or f"fixed {'L' if vary == 'M' else 'M'}={fixed}"),
         f"# reference: {ref_desc}",
     ]
     for col in columns:

@@ -21,20 +21,21 @@ mesh piece, dense over the few columns the group touches.
 
 The equation is causal: ``I - A2`` is block lower triangular with one
 diagonal block per forward piece, which ``assemble`` checks. Block forward
-substitution forms ``X = (I - A2)^{-1} A1`` where ``A1`` is nonzero (``T``
-equals ``B1`` in its other columns) and sums the integrals of ``X`` piece by
-piece; ``X`` and ``T`` are the only dense arrays. Higham's estimate of
+substitution forms ``X = (I - A2)^{-1} A1`` where ``A1`` is nonzero and sums
+the integrals of ``X`` piece by piece. ``T`` is zero outside the columns
+``cols`` that ``A1`` or ``B1`` reads; ``X`` and ``T[:, cols]`` are the only
+dense arrays (``T`` is formed on demand). Higham's estimate of
 ``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``) against the
 exact ``||I - A2||_1`` gives ``rcond``, which must reach ``1e-14``.
 
 ``multipliers`` computes eigenvalues only. Up to ``DENSE_DIM`` it takes
 every eigenvalue of ``T`` (``numpy.linalg.eigvals``). Above it, the verdict
-and the trivial multiplier need only the multipliers of largest modulus, and
-an Arnoldi iteration on ``T`` returns at least ``LEADING`` of them, down to a
-modulus below ``1 - TRIVIAL_RADIUS``, each Ritz pair with a residual bound
-within ``KRYLOV_TOL ||T||_1``; when the basis would exceed ``dim // 2``
-vectors first, ``eigvals`` is taken instead. ``eigenfunction`` computes the
-eigenvectors when asked.
+and the trivial multiplier need only the multipliers of largest modulus: an
+Arnoldi iteration on ``T[cols, cols]``, which has every nonzero eigenvalue of
+``T``, returns at least ``LEADING``, down to a modulus below ``1 -
+TRIVIAL_RADIUS``, each Ritz pair within ``KRYLOV_TOL ||T||_1``; when the basis
+would exceed half the ``cols`` first, ``eigvals`` of ``T`` is taken instead.
+``eigenfunction`` computes the eigenvectors when asked.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ __all__ = ["MonodromyDiscretization", "MultiplierSet", "CoarseDiscretizationErro
            "MissingBreakpointsError", "assemble", "multipliers", "eigenfunction"]
 
 # Guard against runaway problem sizes. The blocks stay structured; the dense
-# arrays, X and A1 (n_fwd d rows, one column per column A1 uses) and T
-# (n_hist d square), hold at most dim^2 doubles (3.2 GB at 20k).
+# arrays, X and A1 (n_fwd d rows, one column per column A1 uses) and T[:, cols]
+# (n_hist d rows), hold at most dim^2 doubles (3.2 GB at 20k), as T does.
 MAX_DIMENSION = 20_000
 # Rows of a distributed term whose quadrature points are built at once.
 ROW_CHUNK = 64
@@ -86,12 +87,14 @@ class MissingBreakpointsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MonodromyDiscretization:
-    """Structured block matrices and the resulting monodromy matrix."""
+    """Structured block matrices, and ``T`` as ``T_cols = T[:, cols]``, zero
+    elsewhere; ``cols`` lists the columns ``A1`` reads, then those only ``B1`` reads."""
 
     equation: LinearPeriodicEquation
     grid: CollocationGrid
     parts: dict  # A1, A2, B1, B2 as structured blocks
-    T: np.ndarray
+    T_cols: np.ndarray
+    cols: np.ndarray
     merged_breakpoints: tuple[float, ...] = ()
 
     @cached_property
@@ -108,15 +111,22 @@ class MonodromyDiscretization:
     def n_hist(self) -> int:
         return self.grid.history.n
 
+    @cached_property
+    def T(self) -> np.ndarray:
+        """The dense ``T``, materialized on first use."""
+        out = np.zeros((self.dim, self.dim), order="F")
+        out[:, self.cols] = self.T_cols
+        return out
+
     @property
     def dim(self) -> int:
-        return self.T.shape[0]
+        return self.T_cols.shape[0]
 
     # numpy returns real arrays when every eigenvalue is real; the
     # multipliers are complex128 regardless
     @cached_property
     def _eigvals(self) -> np.ndarray:
-        vals = None if self.dim <= DENSE_DIM else _leading_eigvals(self.T)
+        vals = None if self.dim <= DENSE_DIM else _leading_eigvals(self.T_cols, self.cols)
         if vals is None:
             vals = np.linalg.eigvals(self.T).astype(complex)
         return _modulus_sorted(vals)
@@ -245,13 +255,11 @@ class _Assembler:
             if dim:
                 coeff = np.broadcast_to(np.eye(dim), (s.size, dim, dim))
                 self.add_at_times("B1", "B2", block, block, coeff, s)
-        # row groups: piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
-        edges = [np.r_[0, eq.d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
-                 for side in (grid.forward, grid.history)]
         nf, nh = eq.d * grid.forward.n, eq.d * grid.history.n
         ext = nf + eq.d * (grid.forward.P + 1)
         shapes = {"A1": (nf, nh), "A2": (nf, ext), "B1": (nh, nh), "B2": (nh, ext)}
-        return {name: _Block(shape, edges[name[0] == "B"], self.triples[name])
+        return {name: _Block(shape, grid.history if name[0] == "B" else grid.forward,
+                             eq.d, self.triples[name])
                 for name, shape in shapes.items()}
 
 
@@ -276,33 +284,38 @@ def _row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
 
 
 class _Block:
-    """A block as row groups ``(rows, columns, dense values)``, each dense
-    over the columns its points touch."""
+    """A block as row groups ``(rows, columns, dense values)``, one per piece
+    of the rows' side, each dense over the columns its points touch."""
 
-    def __init__(self, shape, edges, triples):
+    def __init__(self, shape, side, d: int, triples):
         rows, cols, vals = (np.concatenate(part) for part in zip(
             (np.empty(0, int), np.empty(0, int), np.empty(0)), *triples))
+        # piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
+        edges = np.r_[0, d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
+        group = np.maximum(rows // d - 1, 0) // side.family.degree
         # no sort: a (group, column) mask numbers the columns of each group,
         # and one bincount sums the triples into every group's matrix
-        group = np.searchsorted(edges, rows, side="right") - 1
-        mask = np.zeros((edges.size - 1, shape[1]), bool)
-        mask[group, cols] = True
+        key = group * shape[1] + cols
+        mask = np.zeros((side.P, shape[1]), bool)
+        mask.reshape(-1)[key] = True
         pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
         nrows, count = np.diff(edges), mask.sum(axis=1)
         start = np.cumsum(nrows * count) - nrows * count
-        flat = start[group] + (rows - edges[group]) * count[group] + pos[group, cols]
+        flat = start[group] + (rows - edges[group]) * count[group] + pos.reshape(-1)[key]
         dense = np.bincount(flat, vals, minlength=(nrows * count).sum())
         self.shape = shape
         self.groups = [(slice(r, r + n), np.flatnonzero(m), dense[a:a + n * c].reshape(n, c))
                        for r, m, a, n, c in zip(edges, mask, start, nrows, count)]
 
     def dense(self, cols=None) -> np.ndarray:
-        """The dense block, or its sorted columns ``cols`` that hold all its
-        entries; column-major, as ``assemble`` adds ``B2 X`` by column."""
-        out = np.zeros((self.shape[0], self.shape[1] if cols is None else cols.size),
-                       order="F")
+        """The dense block, or its columns ``cols`` in that order (they hold all
+        its entries); column-major, as ``assemble`` adds ``B2 X`` by column."""
+        cols = np.arange(self.shape[1]) if cols is None else cols
+        index = np.full(self.shape[1], cols.size)  # out of range outside cols
+        index[cols] = np.arange(cols.size)
+        out = np.zeros((self.shape[0], cols.size), order="F")
         for rows, at, w in self.groups:
-            out[rows, at if cols is None else np.searchsorted(cols, at)] = w
+            out[rows, index[at]] = w
         return out
 
 
@@ -345,13 +358,14 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
             f"{_describe_piece(grid.forward, i)} (piece rcond "
             f"{system.piece_rcond[i]:.2e})"
         )
+    # T is zero outside the columns A1 or B1 reads; it equals B1 outside A1's
     used = np.unique(np.concatenate([at for _, at, _ in parts["A1"].groups]))
+    cols = np.r_[used, np.setdiff1d(np.concatenate([g[1] for g in parts["B1"].groups]), used)]
     x = system.solve(parts["A1"].dense(used))
-    t_mat = parts["B1"].dense()
-    t_mat[:, used] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
-    return MonodromyDiscretization(
-        equation=eq, grid=grid, parts=parts, T=t_mat, merged_breakpoints=merged,
-    )
+    t_cols = parts["B1"].dense(cols)
+    t_cols[:, :used.size] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
+    return MonodromyDiscretization(equation=eq, grid=grid, parts=parts, T_cols=t_cols,
+                                   cols=cols, merged_breakpoints=merged)
 
 
 def _describe_piece(side, i: int) -> str:
@@ -467,21 +481,21 @@ def _modulus_sorted(vals: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
-def _leading_eigvals(t: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of largest modulus of ``t`` by an Arnoldi iteration, or
-    None when the basis would need more than ``dim // 2`` vectors.
+def _leading_eigvals(t_cols: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """Leading eigenvalues of ``T`` (zero outside ``t_cols = T[:, cols]``) by
+    Arnoldi on ``T[cols, cols]``, or None past ``cols.size // 2`` basis vectors.
 
     The basis starts from a fixed pseudo-random vector, is orthogonalized by
     classical Gram-Schmidt run twice (CGS2) and grows by 10 vectors at a
     time from ``2 LEADING``. A Ritz pair ``(theta, V y)`` with ``||y|| = 1``
     has the residual norm ``|h_{m+1,m}| |e_m^T y|``. Taken in modulus order,
     the Ritz values up to the first whose bound exceeds ``KRYLOV_TOL
-    ||t||_1`` are returned once they number at least ``LEADING`` and reach
+    ||T||_1`` are returned once they number at least ``LEADING`` and reach
     below ``1 - TRIVIAL_RADIUS``. No restart is needed: on plant at M = 40
-    the basis stops at 78 vectors for ``dim`` 1042.
+    the basis stops at 78 vectors for 522 columns (``T`` has 1042).
     """
-    dim = t.shape[0]
-    norm1 = np.abs(t).sum(axis=0).max()
+    t, dim = t_cols[cols], cols.size
+    norm1 = np.abs(t_cols).sum(axis=0).max(initial=0.0)
     # the stdlib generator: numpy.random would take 15 ms and 6 MB to load
     rng = random.Random(0)
     v = np.array([rng.random() for _ in range(dim)]) - 0.5

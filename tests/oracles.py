@@ -13,7 +13,10 @@ way the periodic solver did before it assembled its Jacobian analytically.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
 ``kernel_quadrature`` are dense, one-window conveniences over the library's
 sparse weight builders; ``restrict`` samples a scalar-style callback node by
-node.
+node. ``searchsorted_groups`` and ``scattered_monodromy`` keep the earlier
+constructions of a block's row groups (a binary search of each row among the
+group edges) and of ``T`` (``B1`` dense, ``B2 X`` scattered into the columns
+``A1`` reads), which the library must reproduce bit for bit.
 """
 
 import numpy as np
@@ -112,6 +115,42 @@ def dense_monodromy(blocks):
     rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
     assert info == 0
     return b1 + b2 @ scipy.linalg.lu_solve((lu, piv), a1), float(rcond)
+
+
+def searchsorted_groups(shape, side, d, triples):
+    """Row groups ``(rows, columns, dense values)`` of the ``(rows, columns,
+    values)`` triples of a block whose rows lie on ``side`` (piece ``i`` owns
+    nodes ``i M + 1 ... (i + 1) M``, piece 0 also node 0), each row's group
+    found by a binary search among the group edges."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        (np.empty(0, int), np.empty(0, int), np.empty(0)), *triples))
+    edges = np.r_[0, d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
+    group = np.searchsorted(edges, rows, side="right") - 1
+    mask = np.zeros((edges.size - 1, shape[1]), bool)
+    mask[group, cols] = True
+    pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
+    nrows, count = np.diff(edges), mask.sum(axis=1)
+    start = np.cumsum(nrows * count) - nrows * count
+    flat = start[group] + (rows - edges[group]) * count[group] + pos[group, cols]
+    dense = np.bincount(flat, vals, minlength=(nrows * count).sum())
+    return [(slice(r, r + n), np.flatnonzero(m), dense[a:a + n * c].reshape(n, c))
+            for r, m, a, n, c in zip(edges, mask, start, nrows, count)]
+
+
+def scattered_monodromy(parts, system):
+    """``T`` formed whole: ``B1`` dense, and ``B2 X`` with ``X = (I - A2)^{-1}
+    A1`` added into the sorted columns where ``A1`` is nonzero; ``system`` is
+    the causal solver of ``I - A2``."""
+    used = np.unique(np.concatenate([at for _, at, _ in parts["A1"].groups]))
+    a1 = np.zeros((parts["A1"].shape[0], used.size), order="F")
+    for rows, at, w in parts["A1"].groups:
+        a1[rows, np.searchsorted(used, at)] = w
+    x = system.solve(a1)
+    t_mat = np.zeros(parts["B1"].shape, order="F")
+    for rows, at, w in parts["B1"].groups:
+        t_mat[rows, at] = w
+    t_mat[:, used] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
+    return t_mat
 
 
 def dense_multipliers(t):

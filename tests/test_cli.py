@@ -111,6 +111,7 @@ class TestConverge:
         text = out1.read_text()
         order = [l for l in text.splitlines() if "fitted_order_dominant" in l][0]
         assert 1.0 <= float(order.split("=")[1]) <= 3.0
+        assert "# sweep: vary M, fixed L=1\n" in text
         assert "# reference: self-computed L=2 M=60" in text
 
     def test_pinned_reference_value(self, tmp_path):
@@ -162,6 +163,17 @@ class TestConverge:
                     .trivial() - 1.0) for M in (2, 3)]
         rows = [l for l in out.read_text().splitlines() if l[:1].isdigit()]
         assert [float(r.split(",")[1]) for r in rows] == want
+
+    def test_single_mesh_header_names_the_mesh(self, tmp_path):
+        # --fixed and the reference's L do not apply on the solution mesh
+        out = tmp_path / "sweep.csv"
+        assert run(["converge", "--problem", "plant",
+                    "--solution-file", str(data_path("plant_solution.sol")),
+                    "--vary", "M", "--values", "3,4", "--fixed", "1",
+                    "--reference", "self:40,6", "-o", str(out)]) == 0
+        text = out.read_text()
+        assert "# sweep: vary M, mesh solution L=30\n" in text
+        assert "# reference: self-computed mesh solution L=30 M=6 value=(" in text
 
     def test_single_mesh_source_needs_a_piecewise_solution(self, capsys):
         # tent is linear: refined:auto has no solution mesh to refine, as

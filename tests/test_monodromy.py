@@ -3,7 +3,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from oracles import dense_monodromy, dense_multipliers, restrict, rk4_method_of_steps
+from oracles import (dense_monodromy, dense_multipliers, restrict, rk4_method_of_steps,
+                     scattered_monodromy, searchsorted_groups)
 from pwfloquet.interp import breakpoint_weights
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
@@ -429,9 +430,22 @@ class TestCausality:
             assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(3))
 
 
+def _assert_groups_match_searchsorted(disc):
+    """Every block's row groups equal the binary-search construction."""
+    assembler = monodromy._Assembler(disc.equation, disc.grid)
+    for name, block in assembler.run().items():
+        side = disc.grid.history if name[0] == "B" else disc.grid.forward
+        want = searchsorted_groups(block.shape, side, disc.equation.d, assembler.triples[name])
+        assert len(block.groups) == len(want)
+        for (rows, cols, w), (rows_ref, cols_ref, w_ref) in zip(block.groups, want):
+            assert rows == rows_ref
+            assert np.array_equal(cols, cols_ref) and np.array_equal(w, w_ref)
+
+
 def _assert_structure_matches_dense(disc):
     """The row groups with the integrals ``int_0^{t_k}`` act as the
-    materialized dense blocks, and T is B1 where A1 is zero."""
+    materialized dense blocks, T is B1 where A1 is zero and zero outside the
+    columns it keeps, and the materialized T is the one formed whole."""
     fwd, d = disc.grid.forward, disc.equation.d
     dense = disc.blocks
     v = np.random.default_rng(7).normal(size=(d * fwd.n, 3))
@@ -447,6 +461,11 @@ def _assert_structure_matches_dense(disc):
     assert abs(system.norm1 - exact) <= 1e-13 * exact
     zero = ~dense["A1"].any(axis=0)
     assert np.array_equal(disc.T[:, zero], dense["B1"][:, zero])
+    assert np.array_equal(np.sort(disc.cols), np.unique(disc.cols))
+    assert not np.delete(disc.T, disc.cols, axis=1).any()
+    assert np.array_equal(disc.T[:, disc.cols], disc.T_cols)
+    assert np.array_equal(disc.T, scattered_monodromy(disc.parts, system))
+    _assert_groups_match_searchsorted(disc)
 
 
 class TestStructuredBlocks:
@@ -457,10 +476,12 @@ class TestStructuredBlocks:
         _assert_structure_matches_dense(_causal_case(name, np.linspace(0.0, 1.0, 5), 8))
 
     def test_plant_solves_only_where_a1_is_nonzero(self):
-        # plant reads only v with delay: half the columns of A1 are zero
+        # plant reads only v with delay: half the columns of A1 are zero, and
+        # T keeps the other 522, Psi(0) among them
         disc = _causal_case("plant", None, 40)
         zero = ~disc.blocks["A1"].any(axis=0)
         assert zero.sum() == 520 and disc.dim == 1042
+        assert disc.cols.size == 522 and disc.dim - 2 in disc.cols
         _assert_structure_matches_dense(disc)
 
     @given(**_RANDOM_EQUATIONS)
@@ -523,7 +544,8 @@ def _around(t_mat):
     base = assemble(scalar_dde([(0.0, 0.0)], omega=1.0, tau=1.0), Mesh([0.0, 1.0]),
                     chebyshev_family(1))
     return MonodromyDiscretization(equation=base.equation, grid=base.grid,
-                                   parts=base.parts, T=t_mat)
+                                   parts=base.parts, T_cols=t_mat,
+                                   cols=np.arange(t_mat.shape[1]))
 
 
 def _synthetic(spectrum, dim, seed):
@@ -599,6 +621,19 @@ class TestLeadingMultipliers:
         _assert_leading(ms, dense_multipliers(disc.T), 1e-10)
         assert ms.verdict == ref.verdict == "stable"
         assert ms.trivial_index == ref.trivial_index == 0
+
+    def test_columns_only_b1_reads_enter_the_spectrum(self):
+        # tau > omega: A1 reads Psi on [-1.5, -0.5], B1 reads it on [-0.5, 0]
+        # and Psi(0), so T keeps columns that A1 never reads
+        eq = scalar_dde([(1.5, -1.0)], omega=1.0, tau=1.5)
+        disc = assemble(eq, Mesh(np.linspace(0.0, 1.0, 11)), chebyshev_family(15))
+        assert disc.dim > DENSE_DIM
+        a1_cols = np.concatenate([at for _, at, _ in disc.parts["A1"].groups])
+        assert disc.dim - 1 in np.setdiff1d(disc.cols, a1_cols)
+        _assert_matches_dense(disc)
+        ms = multipliers(disc)
+        _assert_leading(ms, dense_multipliers(disc.T), 1e-10)
+        assert ms.verdict == "stable"
 
     def test_runs_are_bit_identical(self, large):
         again = _causal_case("quadratic-re", np.linspace(0.0, 1.0, 41), 15)
