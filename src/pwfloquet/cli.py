@@ -72,6 +72,9 @@ class RunConfig:
 
 
 _PARAM_NAMES = ("r", "gamma", "a", "b", "eta", "tau")
+# the allowed values of RunConfig fields, for their flags and INI keys alike
+_CHOICES = {"colloc": (bvp_mod.GAUSS_LEGENDRE, bvp_mod.CHEBYSHEV_ZEROS),
+            "phase": ("integral", "fixed"), "enforce": monodromy.ENFORCE_CHOICES}
 # INI sections and their keys (configparser lowercases keys): the RunConfig
 # field each sets and its type; problem parameters go to RunConfig.params
 _INI_KEYS = {
@@ -89,7 +92,7 @@ def _load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not ini.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     if ini.defaults():
@@ -108,31 +111,23 @@ def _load_config(path: str | None) -> RunConfig:
                 continue
             if attr is None:
                 cfg.params[key] = kind(sec[key])
-            else:
-                setattr(cfg, attr, kind(sec[key]))
+                continue
+            if attr in _CHOICES and sec[key] not in _CHOICES[attr]:
+                raise ConfigError(f"config file {path!r}: [{name}] {key} = {sec[key]!r} "
+                                  f"is not one of {_CHOICES[attr]}")
+            setattr(cfg, attr, kind(sec[key]))
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "problem", None):
-        cfg.problem = args.problem
-    for p in _PARAM_NAMES:
-        val = getattr(args, p, None)
-        if val is not None:
-            cfg.params[p] = val
-    for attr, name in [
-        ("L", "bvp_L"), ("m", "bvp_m"), ("tol", "bvp_tol"),
-        ("max_iters", "bvp_max_iters"), ("M", "M"),
-        ("mesh", "mesh_source"), ("mesh_file", "mesh_file"),
-        ("guess_file", "guess_file"), ("solution_file", "solution_file"),
-        ("output", "output"), ("phase", "phase"), ("enforce", "enforce"),
-        ("family", "colloc"),
-    ]:
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "exact", False):
-        cfg.exact = True
+    # every flag's dest is the RunConfig field (or problem parameter) it sets
+    for key, val in vars(args).items():
+        if val is None:
+            continue
+        if key in _PARAM_NAMES:
+            cfg.params[key] = val
+        elif key in vars(cfg):
+            setattr(cfg, key, val)
     return cfg
 
 
@@ -247,19 +242,15 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.exact:
         if built.exact is None:
             raise ConfigError(f"problem {built.name!r} has no closed-form solution")
-        mesh01 = _bvp_mesh(cfg)
-        sol = model.sample_solution(built.exact, built.exact.omega, mesh01, cfg.bvp_m)
-        out = cfg.output or f"{built.name}.sol"
-        model.write_solution(sol, out)
-        print(f"solve {built.name}: omega={sol.omega!r} rho={sol.mesh_ratio:.6g} "
-              f"residual=exact -> {out}")
-        return EXIT_OK
-    result = _solve(cfg, built)
-    sol = result.solution
+        sol = model.sample_solution(built.exact, built.exact.omega, _bvp_mesh(cfg), cfg.bvp_m)
+        omega, report = sol.omega, "residual=exact"
+    else:
+        result = _solve(cfg, built)
+        sol, omega = result.solution, result.period
+        report = f"iterations={result.iterations} residual={result.residual_norm:.3e}"
     out = cfg.output or f"{built.name}.sol"
     model.write_solution(sol, out)
-    print(f"solve {built.name}: omega={result.period!r} rho={sol.mesh_ratio:.6g} "
-          f"iterations={result.iterations} residual={result.residual_norm:.3e} -> {out}")
+    print(f"solve {built.name}: omega={omega!r} rho={sol.mesh_ratio:.6g} {report} -> {out}")
     return EXIT_OK
 
 
@@ -399,23 +390,23 @@ def _build_parser() -> _Parser:
         p.add_argument("-o", "--output", help="output file path")
 
     def add_bvp(p):
-        p.add_argument("-L", type=int, help="number of mesh pieces")
-        p.add_argument("-m", type=int, help="polynomial degree of the solver")
-        p.add_argument("--tol", type=float, help="Newton residual tolerance")
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--family", choices=[bvp_mod.GAUSS_LEGENDRE, bvp_mod.CHEBYSHEV_ZEROS],
+        p.add_argument("-L", dest="bvp_L", type=int, help="number of mesh pieces")
+        p.add_argument("-m", dest="bvp_m", type=int, help="polynomial degree of the solver")
+        p.add_argument("--tol", dest="bvp_tol", type=float, help="Newton residual tolerance")
+        p.add_argument("--max-iters", dest="bvp_max_iters", type=int)
+        p.add_argument("--family", dest="colloc", choices=_CHOICES["colloc"],
                        help="collocation node family of the periodic solver")
-        p.add_argument("--phase", choices=["integral", "fixed"])
+        p.add_argument("--phase", choices=_CHOICES["phase"])
         p.add_argument("--mesh-file", dest="mesh_file", help="solver mesh on [0, 1]")
         p.add_argument("--guess-file", dest="guess_file", help="initial guess solution file")
-        p.add_argument("--exact", action="store_true",
+        p.add_argument("--exact", action="store_true", default=None,
                        help="use the closed-form solution where available")
 
     def add_mono(p):
         p.add_argument("-M", type=int, help="collocation degree per piece")
-        p.add_argument("--mesh", help="mesh source: solution | uniform:<L> | "
-                                      "refined:<hmax|auto> | file:<path>")
-        p.add_argument("--enforce", choices=monodromy.ENFORCE_CHOICES,
+        p.add_argument("--mesh", dest="mesh_source", help="mesh source: solution | "
+                       "uniform:<L> | refined:<hmax|auto> | file:<path>")
+        p.add_argument("--enforce", choices=_CHOICES["enforce"],
                        help="smoothness-breakpoint handling")
         p.add_argument("--solution-file", dest="solution_file",
                        help="linearize around this stored solution")

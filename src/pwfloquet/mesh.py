@@ -4,9 +4,13 @@ A :class:`Mesh` partitions the period interval ``[0, omega]``, typically
 inherited from a computed periodic solution (and therefore adapted to its
 profile). A :class:`CollocationGrid` places interpolation nodes on every
 piece of ``[0, omega]`` (the forward side) and grids the history interval
-``[-tau, 0]`` by shifting the forward pieces left by multiples of ``omega``.
-When ``-tau`` falls strictly inside a shifted piece, the leftmost history
-piece is truncated and receives a fresh set of nodes from the same family.
+``[-tau, 0]`` with the forward pieces shifted left by multiples of ``omega``,
+starting at the rightmost shifted piece that reaches ``-tau``. That piece is
+kept whole when its left end coincides with ``-tau`` (within
+``COINCIDENCE_RTOL``); otherwise it is truncated at ``-tau`` and renoded with
+the same family, or, if it would be a sliver narrower than ``SLIVER_RTOL *
+omega``, dropped in favour of its right neighbour renoded on ``[-tau, its
+right end]``. Each side is built from one ``(P, M + 1)`` array of piece nodes.
 """
 
 from __future__ import annotations
@@ -178,26 +182,21 @@ class CollocationGrid:
     family: NodeFamily
 
 
-def _piece_node_array(lo: float, hi: float, family: NodeFamily) -> np.ndarray:
-    # endpoints are the breakpoints themselves, exactly
-    inner = lo + (hi - lo) * family.nodes[1:-1]
-    return np.concatenate(([lo], inner, [hi]))
+def _pieces(lo, hi, family: NodeFamily) -> np.ndarray:
+    """Nodes ``lo + (hi - lo) c_j`` of every piece ``[lo, hi]``, one row each;
+    the endpoints are the breakpoints themselves, exactly."""
+    lo, hi = np.atleast_1d(lo)[:, None], np.atleast_1d(hi)[:, None]
+    return np.hstack((lo, lo + (hi - lo) * family.nodes[1:-1], hi))
 
 
-def _finish_side(label: str, pieces: list[np.ndarray], family: NodeFamily) -> GridSide:
-    # canonicalize shared endpoints so adjacent pieces agree bit for bit
-    for i in range(1, len(pieces)):
-        pieces[i][0] = pieces[i - 1][-1]
-    nodes = np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
+def _side(label: str, pieces: np.ndarray, family: NodeFamily) -> GridSide:
+    # a shared endpoint is stored once, as the left piece's last node
+    nodes = np.concatenate((pieces[0, :1], pieces[:, 1:].ravel()))
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError(f"degenerate {label} grid: nodes are not strictly increasing")
-    breakpoints = np.array([p[0] for p in pieces] + [pieces[-1][-1]])
-    return GridSide(
-        label=label,
-        breakpoints=_readonly(breakpoints),
-        family=family,
-        nodes=_readonly(nodes),
-    )
+    breakpoints = np.append(pieces[0, 0], pieces[:, -1])
+    return GridSide(label=label, breakpoints=_readonly(breakpoints), family=family,
+                    nodes=_readonly(nodes))
 
 
 def build_forward_grid(mesh: Mesh, family: NodeFamily) -> GridSide:
@@ -205,19 +204,16 @@ def build_forward_grid(mesh: Mesh, family: NodeFamily) -> GridSide:
     b = mesh.breakpoints
     if b[0] != 0.0:
         raise ValueError("mesh must span [0, omega]: first breakpoint is not 0")
-    pieces = [_piece_node_array(b[i], b[i + 1], family) for i in range(mesh.L)]
-    return _finish_side("forward", pieces, family)
+    return _side("forward", _pieces(b[:-1], b[1:], family), family)
 
 
 def build_history_grid(mesh: Mesh, family: NodeFamily, tau: float) -> GridSide:
-    """Grid ``[-tau, 0]`` by shifting the forward pieces left by ``k * omega``,
-    with ``omega`` the last breakpoint of ``mesh``.
-
-    Walks windows ``k = 1, 2, ...`` right to left, copying shifted pieces
-    until ``-tau`` is reached. If ``-tau`` falls strictly inside a shifted
-    piece, that piece is truncated at ``-tau`` and renoded with the same
-    family; if the truncated sliver would be shorter than
-    ``SLIVER_RTOL * omega`` it is merged into its right neighbour.
+    """Grid ``[-tau, 0]`` with the forward pieces shifted left by ``k omega``,
+    ``k = K ... 1``, from the rightmost shifted piece that reaches ``-tau``
+    (its left end is left of ``-tau`` or within ``COINCIDENCE_RTOL * max(1,
+    omega)`` of it): kept whole on a coincidence, else renoded on ``[-tau, its
+    right end]``, or its right neighbour is if it would be a sliver narrower
+    than ``SLIVER_RTOL * omega``. ``omega`` is the last breakpoint of ``mesh``.
     """
     b = mesh.breakpoints
     if b[0] != 0.0:
@@ -227,32 +223,19 @@ def build_history_grid(mesh: Mesh, family: NodeFamily, tau: float) -> GridSide:
         raise ValueError("tau must be positive")
 
     ctol = COINCIDENCE_RTOL * max(1.0, omega)
-    stol = SLIVER_RTOL * omega
-    pieces: list[np.ndarray] = []  # collected right to left
-    k = 1
-    done = False
-    while not done:
-        shift = k * omega
-        for i in range(mesh.L - 1, -1, -1):
-            left = b[i] - shift
-            right = b[i + 1] - shift
-            if abs(left + tau) <= ctol:
-                pieces.append(_piece_node_array(b[i], b[i + 1], family) - shift)
-                done = True
-                break
-            if left < -tau:
-                if right + tau < stol and pieces:
-                    neighbour = pieces.pop()
-                    right = neighbour[-1]
-                pieces.append(_piece_node_array(-tau, right, family))
-                done = True
-                break
-            pieces.append(_piece_node_array(b[i], b[i + 1], family) - shift)
-        k += 1
-        if k > 1_000_000:  # unreachable for valid inputs
-            raise RuntimeError("history grid construction did not terminate")
-    pieces.reverse()
-    return _finish_side("history", pieces, family)
+    # K omega >= tau - ctol: window K's first piece reaches -tau, with a window to spare
+    windows = max(np.ceil((tau - ctol) / omega), 0.0) + 1
+    if not windows <= 1_000_000:  # nan included
+        raise RuntimeError(f"tau / omega = {tau / omega} needs over 10^6 history windows")
+    shifts = np.arange(int(windows), 0, -1)[:, None, None] * omega
+    pieces = (_pieces(b[:-1], b[1:], family) - shifts).reshape(-1, family.degree + 1)
+    hit = np.abs(pieces[:, 0] + tau) <= ctol
+    first = np.flatnonzero(hit | (pieces[:, 0] < -tau))[-1]
+    if not hit[first]:
+        if pieces[first, -1] + tau < SLIVER_RTOL * omega and first + 1 < len(pieces):
+            first += 1
+        pieces[first] = _pieces(-tau, pieces[first, -1], family)
+    return _side("history", pieces[first:], family)
 
 
 def build_grid(mesh: Mesh, family: NodeFamily, tau: float) -> CollocationGrid:
@@ -277,17 +260,14 @@ def refine_mesh(mesh: Mesh, hmax: float) -> Mesh:
     Keeps every original breakpoint, so the result is a refinement of the
     input; already compliant meshes come back unchanged.
     """
-    if hmax <= 0.0:
+    if not hmax > 0.0:  # nan included
         raise ValueError("hmax must be positive")
-    b = mesh.breakpoints
-    out = [b[0]]
-    for i in range(mesh.L):
-        h = b[i + 1] - b[i]
-        parts = int(np.ceil(h / hmax - 1e-12))
-        for j in range(1, parts):
-            out.append(b[i] + h * (j / parts))
-        out.append(b[i + 1])
-    return Mesh(np.array(out))
+    b, h = mesh.breakpoints, mesh.widths
+    parts = np.maximum(np.ceil(h / hmax - 1e-12), 1).astype(int)
+    piece = np.repeat(np.arange(mesh.L), parts)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    t = np.where(j == 0, b[piece], b[piece] + h[piece] * (j / parts[piece]))
+    return Mesh(np.append(t, b[-1]))
 
 
 def read_mesh(path) -> Mesh:

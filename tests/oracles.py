@@ -17,6 +17,10 @@ node. ``searchsorted_groups`` and ``scattered_monodromy`` keep the earlier
 constructions of a block's row groups (a binary search of each row among the
 group edges) and of ``T`` (``B1`` dense, ``B2 X`` scattered into the columns
 ``A1`` reads), which the library must reproduce bit for bit.
+``loop_forward_grid``, ``loop_history_grid`` and ``loop_refine_mesh`` keep
+the earlier piece-by-piece grid and refinement builders (the history side by
+a right-to-left walk over windows of ``omega``), which the library's array
+builders must reproduce bit for bit, errors included.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ import scipy.linalg
 
 from pwfloquet.interp import (NodalFunction, breakpoint_weights, integral_weights,
                               prolong_pairs, window_rule)
+from pwfloquet.mesh import COINCIDENCE_RTOL, SLIVER_RTOL, GridSide, Mesh
 
 
 FD_STEP = 1e-7
@@ -151,6 +156,85 @@ def scattered_monodromy(parts, system):
         t_mat[rows, at] = w
     t_mat[:, used] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
     return t_mat
+
+
+def _piece_node_array(lo, hi, family):
+    inner = lo + (hi - lo) * family.nodes[1:-1]
+    return np.concatenate(([lo], inner, [hi]))
+
+
+def _finish_side(label, pieces, family):
+    # adjacent pieces share the left piece's last node
+    for i in range(1, len(pieces)):
+        pieces[i][0] = pieces[i - 1][-1]
+    nodes = np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ValueError(f"degenerate {label} grid: nodes are not strictly increasing")
+    breakpoints = np.array([p[0] for p in pieces] + [pieces[-1][-1]])
+    return GridSide(label=label, breakpoints=breakpoints, family=family, nodes=nodes)
+
+
+def loop_forward_grid(mesh, family):
+    """Forward grid side built one piece at a time."""
+    b = mesh.breakpoints
+    if b[0] != 0.0:
+        raise ValueError("mesh must span [0, omega]: first breakpoint is not 0")
+    pieces = [_piece_node_array(b[i], b[i + 1], family) for i in range(mesh.L)]
+    return _finish_side("forward", pieces, family)
+
+
+def loop_history_grid(mesh, family, tau):
+    """History grid side built by walking the windows ``k = 1, 2, ...`` and
+    their shifted pieces right to left until ``-tau`` is reached."""
+    b = mesh.breakpoints
+    if b[0] != 0.0:
+        raise ValueError("mesh must span [0, omega]: first breakpoint is not 0")
+    omega = float(b[-1])
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    ctol = COINCIDENCE_RTOL * max(1.0, omega)
+    stol = SLIVER_RTOL * omega
+    pieces = []  # collected right to left
+    k = 1
+    done = False
+    while not done:
+        shift = k * omega
+        for i in range(mesh.L - 1, -1, -1):
+            left = b[i] - shift
+            right = b[i + 1] - shift
+            if abs(left + tau) <= ctol:
+                pieces.append(_piece_node_array(b[i], b[i + 1], family) - shift)
+                done = True
+                break
+            if left < -tau:
+                if right + tau < stol and pieces:
+                    neighbour = pieces.pop()
+                    right = neighbour[-1]
+                pieces.append(_piece_node_array(-tau, right, family))
+                done = True
+                break
+            pieces.append(_piece_node_array(b[i], b[i + 1], family) - shift)
+        k += 1
+        if k > 1_000_000:
+            raise RuntimeError("history grid construction did not terminate")
+    pieces.reverse()
+    return _finish_side("history", pieces, family)
+
+
+def loop_refine_mesh(mesh, hmax):
+    """``mesh`` with every piece longer than ``hmax`` cut into equal subpieces,
+    one breakpoint at a time."""
+    if hmax <= 0.0:
+        raise ValueError("hmax must be positive")
+    b = mesh.breakpoints
+    out = [b[0]]
+    for i in range(mesh.L):
+        h = b[i + 1] - b[i]
+        parts = int(np.ceil(h / hmax - 1e-12))
+        for j in range(1, parts):
+            out.append(b[i] + h * (j / parts))
+        out.append(b[i + 1])
+    return Mesh(np.array(out))
 
 
 def dense_multipliers(t):

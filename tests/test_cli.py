@@ -1,5 +1,7 @@
 import io
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +201,15 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert run(["solve", "--config", "/does/not/exist.ini"]) == 3
 
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # the "Config file format" block, inline ``;`` comments included
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+        ini, out = tmp_path / "readme.ini", tmp_path / "readme.csv"
+        ini.write_text(block)
+        assert run(["multipliers", "--config", str(ini), "-o", str(out)]) == 0
+        assert "# verdict=stable" in out.read_text().splitlines()
+
 
 class TestExitCodes:
     """Bad input exits 3 and a failed computation exits 2, without a traceback."""
@@ -325,6 +336,24 @@ class TestExitCodes:
                             lambda *args, **kwargs: calls.append(args))
         assert run(argv) == 3
         assert "configuration error" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("ini", ["[bvp]\nfamily = gauss-legendr\n",
+                                     "[bvp]\nphase = integrall\n",
+                                     "[monodromy]\nenforce = merged\n"],
+                             ids=["family", "phase", "enforce"])
+    def test_bad_ini_choice_fails_before_the_orbit_guess(self, monkeypatch, tmp_path,
+                                                         capsys, ini):
+        # checked when the file is loaded, against the choices of its flag
+        from pwfloquet import model
+
+        calls = []
+        monkeypatch.setattr(model, "integrate_orbit_guess",
+                            lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        assert run(["multipliers", "--problem", "plant", "--config", str(path)]) == 3
+        assert "is not one of" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("track", ["foo", "trivial,foo", ","])
