@@ -40,6 +40,7 @@ import numpy as np
 
 from .interp import (
     bary_table,
+    gauss_rule,
     lagrange_matrix,
     prolong_pairs,
     window_rule,
@@ -107,12 +108,10 @@ class BvpResult:
 
 def _collocation_points(kind: str, m: int) -> np.ndarray:
     if kind == GAUSS_LEGENDRE:
-        x, _ = np.polynomial.legendre.leggauss(m)
-    elif kind == CHEBYSHEV_ZEROS:
-        x = -np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))
-    else:
-        raise ValueError(f"unknown collocation node kind {kind!r}")
-    return 0.5 * (x + 1.0)
+        return gauss_rule(m)[0]
+    if kind == CHEBYSHEV_ZEROS:
+        return 0.5 * (1.0 - np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)))
+    raise ValueError(f"unknown collocation node kind {kind!r}")
 
 
 def _profile_on_01(source) -> Callable:
@@ -174,13 +173,12 @@ class _System:
         phase = self.linear[-1].reshape(n, d)
         if bvp.phase == "integral":
             # <p, q'> with q the reference: per-piece Gauss rule, exact here
-            gq, gw = np.polynomial.legendre.leggauss(m + 1)
-            gq = 0.5 * (gq + 1.0)
+            gq, gw = gauss_rule(m + 1)
             wq = lagrange_matrix(table, gq)
             qprime = np.einsum("qj,ijd->iqd", wq @ table.diff,
                                ref_nodal[self.piece_cols]) / h[:, None, None]
             np.add.at(phase, self.piece_cols,
-                      np.einsum("qj,iqd,q,i->ijd", wq, qprime, 0.5 * gw, h))
+                      np.einsum("qj,iqd,q,i->ijd", wq, qprime, gw, h))
         elif bvp.phase == "fixed":
             phase[0, 0] = 1.0
             self.offset[-1] = ref_nodal[0, 0]

@@ -151,6 +151,9 @@ def _bvp_mesh(cfg: RunConfig) -> Mesh:
 def _solve(cfg: RunConfig, built: model.Builtin) -> bvp_mod.BvpResult:
     if built.problem is None:
         raise ConfigError(f"problem {built.name!r} is linear; nothing to solve")
+    if built.name == "plant-coupled":
+        # linearized around the plant orbit: its orbit files are plant (v, w) orbits
+        built = model.builtin("plant", **cfg.params)
     # before the guess, whose orbit integration can take seconds
     bvp_mod.check_newton_settings(cfg.bvp_tol, cfg.bvp_max_iters)
     mesh01 = _bvp_mesh(cfg)
@@ -170,14 +173,18 @@ def _solve(cfg: RunConfig, built: model.Builtin) -> bvp_mod.BvpResult:
     return bvp_mod.solve_periodic(problem, tol=cfg.bvp_tol, max_iters=cfg.bvp_max_iters)
 
 
+def _exact(built: model.Builtin) -> model.ExactSolution:
+    if built.exact is None:
+        raise ConfigError(f"problem {built.name!r} has no closed-form solution")
+    return built.exact
+
+
 def _solution_for(cfg: RunConfig, built: model.Builtin):
     """Solution to linearize around: file, closed form, or a fresh solve."""
     if cfg.solution_file:
         return model.read_solution(cfg.solution_file)
     if cfg.exact:
-        if built.exact is None:
-            raise ConfigError(f"problem {built.name!r} has no closed-form solution")
-        return built.exact
+        return _exact(built)
     return _solve(cfg, built).solution
 
 
@@ -186,11 +193,8 @@ def _linear_equation(cfg: RunConfig, built: model.Builtin):
         return built.linear, None
     solution = _solution_for(cfg, built)
     if built.name == "plant-coupled":
-        if not isinstance(solution, model.PiecewiseSolution):
-            raise ConfigError("plant-coupled needs a solved plant solution")
-        # the orbit comes from the differential form; reorder into (w, v)
-        coupled = model.coupled_view_of_plant(solution)
-        return model.linearize(built.problem, coupled), coupled
+        # a plant orbit (v, w), reordered into the coupled layout (w, v)
+        solution = model.coupled_view_of_plant(solution)
     return model.linearize(built.problem, solution), solution
 
 
@@ -240,9 +244,8 @@ def _write_multiplier_csv(path, cfg: RunConfig, ms, extra_header=()):
 def cmd_solve(cfg: RunConfig) -> int:
     built = _get_builtin(cfg)
     if cfg.exact:
-        if built.exact is None:
-            raise ConfigError(f"problem {built.name!r} has no closed-form solution")
-        sol = model.sample_solution(built.exact, built.exact.omega, _bvp_mesh(cfg), cfg.bvp_m)
+        exact = _exact(built)
+        sol = model.sample_solution(exact, exact.omega, _bvp_mesh(cfg), cfg.bvp_m)
         omega, report = sol.omega, "residual=exact"
     else:
         result = _solve(cfg, built)
@@ -276,6 +279,11 @@ def cmd_multipliers(cfg: RunConfig, save_mesh: str | None = None) -> int:
     print(f"multipliers {built.name}: dominant={ms.dominant():.10g} "
           f"dominant_nontrivial={ms.dominant_nontrivial()} {triv_msg} verdict={ms.verdict}")
     return EXIT_OK
+
+
+def _reference_multiplier(ms: monodromy.MultiplierSet) -> complex:
+    """The dominant multiplier, nontrivial where a trivial one exists."""
+    return ms.dominant_nontrivial() if ms.trivial_index is not None else ms.dominant()
 
 
 def _fit_order(sizes, errors) -> float:
@@ -321,9 +329,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
         ref_desc = f"pinned value {ref}"
     elif ref_spec.startswith("self:"):
         L_ref, M_ref = (int(x) for x in ref_spec.split(":", 1)[1].split(","))
-        ms_ref = run(L_ref, M_ref)
-        ref = (ms_ref.dominant_nontrivial() if ms_ref.trivial_index is not None
-               else ms_ref.dominant())
+        ref = _reference_multiplier(run(L_ref, M_ref))
         ref_desc = f"self-computed {one_mesh or f'L={L_ref}'} M={M_ref} value={ref}"
     else:
         raise ConfigError(f"unknown reference spec {ref_spec!r} "
@@ -338,8 +344,7 @@ def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
             triv = ms.trivial()
             row["err_trivial"] = abs(triv - 1.0) if triv is not None else float("nan")
         if "dominant" in columns:
-            dom = (ms.dominant_nontrivial() if ms.trivial_index is not None
-                   else ms.dominant())
+            dom = _reference_multiplier(ms)
             row["err_dominant"] = min(abs(dom - ref), abs(dom - np.conj(ref)))
         rows.append(row)
 

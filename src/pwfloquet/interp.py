@@ -27,6 +27,7 @@ __all__ = [
     "BaryTable",
     "NodalFunction",
     "bary_table",
+    "gauss_rule",
     "prolong_pairs",
     "integral_weights",
     "breakpoint_weights",
@@ -42,17 +43,16 @@ class BaryTable:
     on a piece ``[t_i, t_i + h_i]`` the abscissae are the affine images of
     the reference nodes, which leaves the weights unchanged. ``diff`` maps
     nodal values to the nodal values of the derivative (reference scale).
-    ``antiderivative[j, k]`` is the integral of the j-th Lagrange basis from
-    0 to node ``c_k``; ``quad`` is its last column (the full-piece
-    interpolatory quadrature weights, which sum to 1). ``anti_values[i, j]``
-    is that integral up to the i-th Chebyshev extremum of degree ``M + 1``,
-    enough to interpolate the degree ``M + 1`` antiderivatives exactly.
+    ``anti_values[i, j]`` is the integral of the j-th Lagrange basis from 0
+    to the i-th Chebyshev extremum of degree ``M + 1``, enough to interpolate
+    the degree ``M + 1`` antiderivatives exactly. ``quad`` is its last row,
+    the integrals up to 1: the full-piece interpolatory quadrature weights,
+    which sum to 1.
     """
 
     family: NodeFamily
     weights: np.ndarray
     diff: np.ndarray
-    antiderivative: np.ndarray
     quad: np.ndarray
     anti_values: np.ndarray
 
@@ -73,6 +73,12 @@ def _lagrange_rows(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.
     return out
 
 
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Legendre points and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 @lru_cache(maxsize=None)
 def _table(kind: str, degree: int) -> BaryTable:
     from .mesh import reference_nodes
@@ -87,29 +93,19 @@ def _table(kind: str, degree: int) -> BaryTable:
     else:
         w = np.array([(-1.0) ** j * comb(m, j) for j in range(m + 1)], dtype=float)
         w /= np.abs(w).max()
-    # differentiation matrix at the nodes
-    dmat = np.zeros((m + 1, m + 1))
-    for k in range(m + 1):
-        for j in range(m + 1):
-            if j != k:
-                dmat[k, j] = (w[j] / w[k]) / (c[k] - c[j])
-        dmat[k, k] = -dmat[k].sum()
-    # Gauss-Legendre rule on [0, 1], exact for the degree-m basis
-    ng = m // 2 + 2
-    gx, gw = np.polynomial.legendre.leggauss(ng)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-
-    def integrals_to(x):
-        basis = _lagrange_rows(c, w, (x[:, None] * gx).ravel())
-        return x[:, None] * (gw @ basis.reshape(x.size, ng, m + 1))
-
-    anti = integrals_to(c).T
-    return BaryTable(
-        family=fam, weights=w, diff=dmat,
-        antiderivative=anti, quad=anti[:, -1].copy(),
-        anti_values=integrals_to(reference_nodes(CHEBYSHEV, m + 1).nodes),
-    )
+    # differentiation matrix at the nodes: (w_j / w_k) / (c_k - c_j) off the
+    # diagonal, minus the row sum on it (the infinite gap makes it 0 until then)
+    gap = c[:, None] - c[None, :]
+    np.fill_diagonal(gap, np.inf)
+    dmat = (w[None, :] / w[:, None]) / gap
+    np.fill_diagonal(dmat, -dmat.sum(axis=1))
+    # integrals of the basis from 0 to each Chebyshev extremum of degree m + 1
+    # by the Gauss-Legendre rule, exact for the degree-m basis
+    x = reference_nodes(CHEBYSHEV, m + 1).nodes
+    gx, gw = gauss_rule(m // 2 + 2)
+    basis = _lagrange_rows(c, w, (x[:, None] * gx).ravel())
+    anti = x[:, None] * (gw @ basis.reshape(x.size, gx.size, m + 1))
+    return BaryTable(family=fam, weights=w, diff=dmat, quad=anti[-1], anti_values=anti)
 
 
 def bary_table(family: NodeFamily) -> BaryTable:

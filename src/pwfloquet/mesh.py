@@ -47,6 +47,8 @@ COINCIDENCE_RTOL = 1e-12
 # Truncated history pieces narrower than SLIVER_RTOL * omega are merged into
 # their right neighbour (conditioning of the barycentric weights).
 SLIVER_RTOL = 1e-10
+# More history windows or refined pieces than this are refused up front.
+_MAX_PIECES = 1_000_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -179,7 +181,6 @@ class CollocationGrid:
     history: GridSide
     omega: float
     mesh: Mesh
-    family: NodeFamily
 
 
 def _pieces(lo, hi, family: NodeFamily) -> np.ndarray:
@@ -225,7 +226,7 @@ def build_history_grid(mesh: Mesh, family: NodeFamily, tau: float) -> GridSide:
     ctol = COINCIDENCE_RTOL * max(1.0, omega)
     # K omega >= tau - ctol: window K's first piece reaches -tau, with a window to spare
     windows = max(np.ceil((tau - ctol) / omega), 0.0) + 1
-    if not windows <= 1_000_000:  # nan included
+    if not windows <= _MAX_PIECES:  # nan included
         raise RuntimeError(f"tau / omega = {tau / omega} needs over 10^6 history windows")
     shifts = np.arange(int(windows), 0, -1)[:, None, None] * omega
     pieces = (_pieces(b[:-1], b[1:], family) - shifts).reshape(-1, family.degree + 1)
@@ -244,7 +245,7 @@ def build_grid(mesh: Mesh, family: NodeFamily, tau: float) -> CollocationGrid:
         forward=build_forward_grid(mesh, family),
         history=build_history_grid(mesh, family, tau),
         omega=float(mesh.breakpoints[-1]),
-        mesh=mesh, family=family,
+        mesh=mesh,
     )
 
 
@@ -258,12 +259,18 @@ def refine_mesh(mesh: Mesh, hmax: float) -> Mesh:
     """Subdivide every piece longer than ``hmax`` into equal subpieces.
 
     Keeps every original breakpoint, so the result is a refinement of the
-    input; already compliant meshes come back unchanged.
+    input; already compliant meshes come back unchanged. More than
+    10^6 pieces raise a ValueError.
     """
     if not hmax > 0.0:  # nan included
         raise ValueError("hmax must be positive")
     b, h = mesh.breakpoints, mesh.widths
-    parts = np.maximum(np.ceil(h / hmax - 1e-12), 1).astype(int)
+    with np.errstate(over="ignore"):  # a subnormal hmax counts inf pieces
+        parts = np.maximum(np.ceil(h / hmax - 1e-12), 1)
+    if parts.sum() > _MAX_PIECES:
+        raise ValueError(f"hmax = {hmax!r} would cut the mesh into {parts.sum():.4g} "
+                         "pieces, over 10^6")
+    parts = parts.astype(int)
     piece = np.repeat(np.arange(mesh.L), parts)
     j = np.arange(piece.size) - np.repeat(np.cumsum(parts) - parts, parts)
     t = np.where(j == 0, b[piece], b[piece] + h[piece] * (j / parts[piece]))
@@ -291,10 +298,6 @@ def write_mesh(mesh: Mesh, path, header: str | None = None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _cached_family(kind: str, degree: int) -> NodeFamily:
-    return reference_nodes(kind, degree)
-
-
 def chebyshev_family(degree: int) -> NodeFamily:
     """Cached Chebyshev-extrema family (the default for collocation)."""
-    return _cached_family(CHEBYSHEV, degree)
+    return reference_nodes(CHEBYSHEV, degree)

@@ -45,7 +45,6 @@ __all__ = [
     "integrate_orbit_guess",
 ]
 
-BUILTIN_NAMES = ("logistic", "tent", "quadratic-re", "plant", "plant-coupled")
 # integrate_orbit_guess averages the period over this many last oscillations
 PERIODS_BACK = 3
 # RK4 step of integrate_orbit_guess; the guess only has to seed Newton
@@ -107,6 +106,11 @@ class _BlockLayout:
     def d(self) -> int:
         return self.d_x + self.d_y
 
+    @property
+    def kind(self) -> str:
+        """``"dde"`` if ``d_x == 0``, ``"re"`` if ``d_y == 0``, else ``"coupled"``."""
+        return "dde" if self.d_x == 0 else "re" if self.d_y == 0 else "coupled"
+
     def block_offset(self, block: str) -> int:
         return 0 if block == "x" else self.d_x
 
@@ -124,7 +128,6 @@ class LinearPeriodicEquation(_BlockLayout):
     equation was linearized around, plus intrinsic kinks).
     """
 
-    kind: str  # "dde" | "re" | "coupled"
     d_x: int
     d_y: int
     omega: float
@@ -278,7 +281,6 @@ class NonlinearProblem(_BlockLayout):
     """
 
     name: str
-    kind: str
     d_x: int
     d_y: int
     tau: float
@@ -357,7 +359,6 @@ def linearize(problem: NonlinearProblem, solution) -> LinearPeriodicEquation:
     ev, omega, bps = _solution_access(solution)
     discrete, distributed = problem.linearize_terms(ev, omega)
     return LinearPeriodicEquation(
-        kind=problem.kind,
         d_x=problem.d_x,
         d_y=problem.d_y,
         omega=omega,
@@ -433,7 +434,7 @@ def _logistic(r: float = 1.6) -> Builtin:
         )
 
     problem = NonlinearProblem(
-        name="logistic", kind="dde", d_x=0, d_y=1, tau=tau,
+        name="logistic", d_x=0, d_y=1, tau=tau,
         rhs=rhs, linearize_terms=lin_terms, params={"r": r},
     )
 
@@ -458,7 +459,7 @@ def _tent() -> Builtin:
         return (1.0 - np.abs(np.mod(t, 2.0) - 1.0))[..., None, None]
 
     linear = LinearPeriodicEquation(
-        kind="dde", d_x=0, d_y=1, omega=2.0, tau=1.0,
+        d_x=0, d_y=1, omega=2.0, tau=1.0,
         discrete=(DiscreteTerm("y", "y", 1.0, coeff),),
         breakpoints=(0.0, 1.0),
     )
@@ -502,7 +503,7 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
         return ((), (DistributedTerm("x", "x", -3.0, -1.0, kernel),))
 
     problem = NonlinearProblem(
-        name="quadratic-re", kind="re", d_x=1, d_y=0, tau=tau,
+        name="quadratic-re", d_x=1, d_y=0, tau=tau,
         rhs=rhs, linearize_terms=lin_terms, params={"gamma": gamma},
     )
     exact = ExactSolution(fn=xbar, omega=4.0, d=1, derivative=xbar_prime)
@@ -549,7 +550,7 @@ def _plant(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
         )
 
     problem = NonlinearProblem(
-        name="plant", kind="dde", d_x=0, d_y=2, tau=tau,
+        name="plant", d_x=0, d_y=2, tau=tau,
         rhs=rhs, linearize_terms=lin_terms,
         params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
     )
@@ -606,7 +607,7 @@ def _plant_coupled(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
         )
 
     problem = NonlinearProblem(
-        name="plant-coupled", kind="coupled", d_x=1, d_y=1, tau=tau,
+        name="plant-coupled", d_x=1, d_y=1, tau=tau,
         rhs=rhs, linearize_terms=lin_terms,
         params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
     )
@@ -634,7 +635,7 @@ def builtin(name: str, **params) -> Builtin:
         "plant-coupled": _plant_coupled,
     }
     if name not in factories:
-        raise ValueError(f"unknown builtin problem {name!r}; expected one of {BUILTIN_NAMES}")
+        raise ValueError(f"unknown builtin problem {name!r}; expected one of {tuple(factories)}")
     return factories[name](**params)
 
 
@@ -677,7 +678,7 @@ class _StepHistory:
         rows = self.memo[key]
         if rows is None:
             t_now = self.starts[self.i] + self.offsets[self.stage]
-            return self._interp(t_now + theta, self.nhist + self.i)
+            return self.interp(t_now + theta, self.nhist + self.i)
         return rows[4 * (self.i - self.first) + self.stage]
 
     def _block_values(self, theta):
@@ -688,11 +689,13 @@ class _StepHistory:
         t_abs = np.add.outer(t_now.ravel(), theta)
         if t_abs.max() > self.starts[first]:
             return None
-        rows = self._interp(t_abs, self.nhist + first)
+        rows = self.interp(t_abs, self.nhist + first)
         rows.flags.writeable = False
         return rows
 
-    def _interp(self, t_abs, n):
+    def interp(self, t_abs, n):
+        """Linear interpolation of the first ``n`` history and step values at
+        ``t_abs``, column by column: shape ``t_abs.shape + (d,)``."""
         out = np.empty(np.shape(t_abs) + (self.ys.shape[1],))
         for c in range(out.shape[-1]):
             out[..., c] = np.interp(t_abs, self.ts[:n], self.ys[:n, c])
@@ -743,11 +746,8 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     ys = np.empty((nhist + nsteps, d))
     ts[:nhist] = np.linspace(-tau, 0.0, nhist)
     ys[:nhist] = y
-    # step times accumulated as the stepper has always advanced t
-    t = 0.0
-    for i in range(nsteps):
-        t += step
-        ts[nhist + i] = t
+    # step times summed one step at a time, as the stepper advances t
+    ts[nhist:] = np.add.accumulate(np.full(nsteps, step))
     u = _StepHistory(ts, ys, nhist, step, block=max(1, int(np.floor(tau / step)) - 1))
 
     def f(stage, y_now):
@@ -791,12 +791,7 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     t0 = float(cross[-1] - period)
 
     def profile(s):
-        s = np.asarray(s, dtype=float)
-        t_abs = t0 + s * period
-        out = np.empty(s.shape + (d,))
-        for c in range(d):
-            out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
-        return out
+        return u.interp(t0 + np.asarray(s, dtype=float) * period, filled)
 
     return profile, period
 

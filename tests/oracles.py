@@ -237,6 +237,19 @@ def loop_refine_mesh(mesh, hmax):
     return Mesh(np.array(out))
 
 
+def loop_differentiation_matrix(table):
+    """The differentiation matrix at the nodes of ``table``, entry by entry:
+    ``(w_j / w_k) / (c_k - c_j)`` off the diagonal, minus the row sum on it."""
+    w, c = table.weights, table.family.nodes
+    dmat = np.zeros((c.size, c.size))
+    for k in range(c.size):
+        for j in range(c.size):
+            if j != k:
+                dmat[k, j] = (w[j] / w[k]) / (c[k] - c[j])
+        dmat[k, k] = -dmat[k].sum()
+    return dmat
+
+
 def dense_multipliers(t):
     """Every eigenvalue of ``t`` (``numpy.linalg.eigvals``) as complex128,
     by decreasing modulus, then by angle."""

@@ -233,7 +233,7 @@ def test_c06_end_to_end_logistic(logistic_16, logistic_23, announce):
 
 def test_c07_ode_oracle(announce):
     eq = LinearPeriodicEquation(
-        kind="dde", d_x=0, d_y=1, omega=1.0, tau=1.0,
+        d_x=0, d_y=1, omega=1.0, tau=1.0,
         discrete=(DiscreteTerm("y", "y", 0.0, np.array([[1.0]])),),
     )
     disc = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(20))

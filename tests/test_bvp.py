@@ -126,7 +126,7 @@ def _sample_state(bvp):
 class TestSingularCases:
     def test_zero_rhs_is_singular(self):
         prob = NonlinearProblem(
-            name="null", kind="dde", d_x=0, d_y=1, tau=1.0,
+            name="null", d_x=0, d_y=1, tau=1.0,
             rhs=lambda u: 0.0 * u(0.0),
             linearize_terms=lambda ev, omega: (
                 (DiscreteTerm("y", "y", 0.0, np.zeros((1, 1))),), ()),
@@ -331,7 +331,7 @@ class TestAnalyticJacobian:
 
     def test_problem_without_derivatives_is_rejected(self):
         b = builtin("logistic", r=1.6)
-        prob = NonlinearProblem(name="bare", kind="dde", d_x=0, d_y=1, tau=1.0,
+        prob = NonlinearProblem(name="bare", d_x=0, d_y=1, tau=1.0,
                                 rhs=b.problem.rhs)
         bvp = sine_logistic_bvp()
         bvp.problem = prob

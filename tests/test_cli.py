@@ -14,6 +14,13 @@ def run(argv):
     return main(argv)
 
 
+def csv_multipliers(path):
+    """The multipliers of a multipliers CSV and the is_trivial column."""
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if line[:1] == "-" or line[:1].isdigit()]
+    return np.array([complex(float(r[0]), float(r[1])) for r in rows]), [r[3] for r in rows]
+
+
 class TestMeshInfo:
     def test_shipped_plant_mesh(self, capsys):
         code = run(["mesh-info", str(data_path("plant_adapted.mesh"))])
@@ -44,6 +51,19 @@ class TestSolve:
     def test_bad_flag_is_config_error(self):
         code = run(["solve", "--no-such-flag"])
         assert code == 3
+
+    def test_solved_orbit_is_reported_and_written(self, tmp_path, capsys):
+        out = tmp_path / "logistic.sol"
+        assert run(["solve", "--problem", "logistic", "--r", "1.6", "-L", "24", "-m", "4",
+                    "-o", str(out)]) == 0
+        assert "iterations=" in capsys.readouterr().out
+        assert read_solution(out).omega == pytest.approx(4.0204, abs=2e-3)
+
+    def test_mesh_file(self, tmp_path):
+        assert run(["solve", "--problem", "plant",
+                    "--mesh-file", str(data_path("plant_adapted.mesh")), "-m", "5",
+                    "--guess-file", str(data_path("plant_solution.sol")),
+                    "-o", str(tmp_path / "plant.sol")]) == 0
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # a guess far from the orbit with a one-iteration budget
@@ -89,6 +109,26 @@ class TestMultipliers:
                     "-M", "10"])
         assert code == 3
 
+    def test_refined_auto_mesh(self, tmp_path):
+        from pwfloquet.mesh import refine_mesh
+
+        sol_path = data_path("plant_solution.sol")
+        out = tmp_path / "m.csv"
+        assert run(["multipliers", "--problem", "plant", "--solution-file", str(sol_path),
+                    "--mesh", "refined:auto", "-M", "4", "-o", str(out)]) == 0
+        mesh = read_solution(sol_path).mesh
+        L = refine_mesh(mesh, mesh.widths.max() / 5.0).L
+        assert f"# mesh_source=refined:auto L={L} M=4" in out.read_text().splitlines()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hmax", ["1e-300", "1e-320", "1e-10"])
+    def test_tiny_refined_hmax_is_config_error(self, capsys, hmax):
+        # more than 10^6 pieces are refused before anything is allocated
+        assert run(["multipliers", "--problem", "plant", "-M", "4", "--mesh",
+                    f"refined:{hmax}", "--solution-file",
+                    str(data_path("plant_solution.sol"))]) == 3
+        assert "pieces, over 10^6" in capsys.readouterr().err
+
     def test_save_mesh_round_trips(self, tmp_path):
         from pwfloquet.mesh import read_mesh
         saved = tmp_path / "used.mesh"
@@ -98,6 +138,34 @@ class TestMultipliers:
         assert code == 0
         mesh = read_mesh(saved)
         assert np.array_equal(mesh.breakpoints, [0.0, 1.0, 2.0])
+
+
+class TestPlantCoupled:
+    """plant-coupled is linearized around the plant orbit, so every orbit file
+    it reads or writes is a plant ``(v, w)`` orbit."""
+
+    def test_guess_file_run_matches_the_solution_file_run(self, tmp_path):
+        from pwfloquet.monodromy import LEADING
+
+        orbit = str(data_path("plant_solution.sol"))
+        guessed, stored = tmp_path / "guess.csv", tmp_path / "stored.csv"
+        assert run(["multipliers", "--problem", "plant-coupled", "--guess-file", orbit,
+                    "--mesh-file", str(data_path("plant_adapted.mesh")), "-m", "5",
+                    "-M", "6", "-o", str(guessed)]) == 0
+        assert run(["multipliers", "--problem", "plant-coupled", "--solution-file", orbit,
+                    "-M", "6", "-o", str(stored)]) == 0
+        (mu, trivial), (want, want_trivial) = csv_multipliers(guessed), csv_multipliers(stored)
+        assert trivial.count("1") == want_trivial.count("1") == 1
+        np.testing.assert_allclose(mu[:LEADING], want[:LEADING], rtol=1e-10)
+
+    def test_solve_writes_a_plant_orbit(self, tmp_path):
+        shipped = read_solution(data_path("plant_solution.sol"))
+        out = tmp_path / "coupled.sol"
+        assert run(["solve", "--problem", "plant-coupled",
+                    "--guess-file", str(data_path("plant_solution.sol")),
+                    "--mesh-file", str(data_path("plant_adapted.mesh")), "-m", "5",
+                    "-o", str(out)]) == 0
+        np.testing.assert_allclose(read_solution(out).values, shipped.values, atol=1e-8)
 
 
 class TestConverge:

@@ -23,7 +23,8 @@ from pwfloquet.interp import (
     prolong_pairs,
 )
 from pwfloquet.model import PiecewiseSolution, data_path, read_solution, sample_solution
-from oracles import integral_rows, kernel_quadrature, prolong_eval, prolong_weights, restrict
+from oracles import (integral_rows, kernel_quadrature, loop_differentiation_matrix,
+                     prolong_eval, prolong_weights, restrict)
 
 EPS = np.finfo(float).eps
 
@@ -45,8 +46,9 @@ class TestBaryTable:
     @given(m=st.integers(1, 20))
     def test_antiderivative_consistency(self, m):
         tab = bary_table(reference_nodes(CHEBYSHEV, m))
-        # last column is the full-piece quadrature weight of each basis
-        assert np.allclose(tab.antiderivative[:, -1], tab.quad, atol=1e-15)
+        # the integrals up to the last Chebyshev point, 1, are the full-piece
+        # quadrature weights, bit for bit
+        assert np.array_equal(tab.anti_values[-1], tab.quad)
         # the basis functions sum to one, so the weights integrate to one
         assert tab.quad.sum() == pytest.approx(1.0, abs=1e-13)
 
@@ -298,6 +300,12 @@ class TestDerivativeMatrix:
         xs = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
         d = lagrange_matrix(tab, xs) @ tab.diff @ vals
         assert np.allclose(d, poly.deriv()(xs), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [CHEBYSHEV, UNIFORM])
+    def test_equals_the_entrywise_loop(self, kind):
+        for m in range(1, 61):
+            tab = bary_table(reference_nodes(kind, m))
+            assert np.array_equal(tab.diff, loop_differentiation_matrix(tab)), m
 
 
 @st.composite

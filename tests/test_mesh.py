@@ -187,6 +187,15 @@ class TestRefine:
         if out.widths.min() == mesh.widths.min():
             assert mesh_ratio(out) <= mesh_ratio(mesh) * (1 + 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hmax", [1e-300, 1e-320, 1e-10])
+    def test_more_than_a_million_pieces_is_refused_up_front(self, hmax):
+        # counted before anything is allocated: 1e-10 would need 5e11 pieces,
+        # and a subnormal hmax must not overflow into a numpy warning
+        mesh = Mesh([0.0, 0.2, 50.7])
+        with pytest.raises(ValueError, match=rf"hmax = {hmax!r} .* pieces, over 10\^6"):
+            refine_mesh(mesh, hmax)
+
 
 class TestMeshIO:
     def test_round_trip(self, tmp_path):

@@ -285,7 +285,7 @@ class TestValidationErrors:
             builtin("lorenz")
 
     def test_missing_derivatives(self):
-        prob = NonlinearProblem(name="raw", kind="dde", d_x=0, d_y=1, tau=1.0,
+        prob = NonlinearProblem(name="raw", d_x=0, d_y=1, tau=1.0,
                                 rhs=lambda u: -u(-1.0))
         with pytest.raises(MissingDerivativesError):
             linearize(prob, (lambda t: np.array([0.0]), 1.0))
@@ -293,14 +293,14 @@ class TestValidationErrors:
     def test_bad_delay(self):
         with pytest.raises(ValueError):
             LinearPeriodicEquation(
-                kind="dde", d_x=0, d_y=1, omega=1.0, tau=1.0,
+                d_x=0, d_y=1, omega=1.0, tau=1.0,
                 discrete=(DiscreteTerm("y", "y", 2.0, np.eye(1)),),
             )
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             LinearPeriodicEquation(
-                kind="re", d_x=1, d_y=0, omega=1.0, tau=1.0,
+                d_x=1, d_y=0, omega=1.0, tau=1.0,
                 distributed=(DistributedTerm("x", "x", -0.5, -0.9, np.eye(1)),),
             )
 
@@ -322,7 +322,7 @@ def _delayed_vdp(tau, thetas=None):
         xd = u(-tau)[..., 0] if thetas is None else u(thetas)[..., 0].mean(axis=-1)
         return 3.0 * np.stack([y, (1.0 - x * x) * y - xd], axis=-1)
 
-    return NonlinearProblem(name="delayed-vdp", kind="dde", d_x=0, d_y=2,
+    return NonlinearProblem(name="delayed-vdp", d_x=0, d_y=2,
                             tau=tau, rhs=rhs)
 
 
@@ -372,7 +372,7 @@ class TestOrbitGuess:
                                   t_settle=40.0)
 
     def test_rhs_result_of_wrong_shape(self):
-        problem = NonlinearProblem(name="wide", kind="dde", d_x=0, d_y=1, tau=1.0,
+        problem = NonlinearProblem(name="wide", d_x=0, d_y=1, tau=1.0,
                                    rhs=lambda u: np.zeros(2))
         with pytest.raises(ValueError, match=r"returned shape \(2,\), expected \(1,\)"):
             integrate_orbit_guess(problem, [1.0], t_settle=40.0)

@@ -39,7 +39,7 @@ def scalar_dde(coeffs, omega, tau, breakpoints=()):
         for tk, ck in coeffs
     )
     return LinearPeriodicEquation(
-        kind="dde", d_x=0, d_y=1, omega=omega, tau=tau,
+        d_x=0, d_y=1, omega=omega, tau=tau,
         discrete=terms, breakpoints=breakpoints,
     )
 
@@ -348,7 +348,7 @@ def _random_equation(kind, delays, lower, upper):
     coeff = lambda t: (scale * (1.0 + 0.5 * np.cos(2 * np.pi * t)))[..., None, None]
     kernel = lambda t, th: (scale * np.sin(3.0 * th + t))[..., None, None]
     return LinearPeriodicEquation(
-        kind=kind, d_x=d_x, d_y=d_y, omega=1.0, tau=1.5,
+        d_x=d_x, d_y=d_y, omega=1.0, tau=1.5,
         discrete=tuple(DiscreteTerm(*pairs[k % len(pairs)], delay, coeff)
                        for k, delay in enumerate(delays)),
         distributed=(DistributedTerm(*pairs[-1], lower, upper, kernel),),
@@ -356,7 +356,7 @@ def _random_equation(kind, delays, lower, upper):
 
 
 def _assert_causal(disc):
-    fwd, d, M = disc.grid.forward, disc.equation.d, disc.grid.family.degree
+    fwd, d, M = disc.grid.forward, disc.equation.d, disc.grid.forward.family.degree
     last = np.array([(fwd.piece_of(t) + 1) * M for t in fwd.nodes])
     a2 = disc.blocks["A2"].reshape(fwd.n, d, fwd.n, d)
     beyond = np.arange(fwd.n)[None, :] > last[:, None]
@@ -529,7 +529,7 @@ class TestCallbackConvention:
         # an array of k times makes these return shape (1, 1, k)
         distributed = isinstance(term, DistributedTerm)
         eq = LinearPeriodicEquation(
-            kind="dde", d_x=0, d_y=1, omega=1.0, tau=1.0,
+            d_x=0, d_y=1, omega=1.0, tau=1.0,
             discrete=() if distributed else (term,),
             distributed=(term,) if distributed else (),
         )
