@@ -46,7 +46,8 @@ from .interp import (
     window_rule,
 )
 from .mesh import UNIFORM, Mesh, build_forward_grid, reference_nodes
-from .model import MissingDerivativesError, NonlinearProblem, PiecewiseSolution, term_values
+from .model import (MissingDerivativesError, NonlinearProblem, PiecewiseSolution, nodal_values,
+                    rhs_values, term_values)
 
 __all__ = [
     "BvpProblem",
@@ -202,7 +203,7 @@ class _System:
         def u(theta):
             return self.values_at(p, np.add.outer(self.colloc, np.asarray(theta, float) / w))
 
-        g = np.asarray(self.problem.rhs(u), dtype=float).reshape(self.colloc.size, self.d)
+        g = rhs_values(self.problem, u, (self.colloc.size, self.d))
         res = self.linear @ state[:-1] - self.offset
         res[: g.size] -= (np.where(self.differential, w, 1.0) * g).ravel()
         return res, g
@@ -284,17 +285,7 @@ class _System:
 
 def _initial_state_from(sys: _System, source) -> np.ndarray:
     """Nodal values of a profile over [0, 1], from one elementwise call."""
-    s = sys.side.nodes
-    vals = np.asarray(_profile_on_01(source)(s), dtype=float)
-    if vals.shape == s.shape and sys.d == 1:
-        vals = vals[:, None]
-    if vals.shape != s.shape + (sys.d,):
-        want = f"{s.shape + (sys.d,)}" + (f" or {s.shape}" if sys.d == 1 else "")
-        raise ValueError(
-            f"profile returned shape {vals.shape} for {s.size} nodes, expected {want}: "
-            "profiles are elementwise (an array of points in, shape + (d,) out)"
-        )
-    return vals.ravel()
+    return nodal_values(_profile_on_01(source), sys.side.nodes, sys.d).ravel()
 
 
 def _initial_state(sys: _System, bvp: BvpProblem) -> np.ndarray:

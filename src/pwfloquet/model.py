@@ -251,15 +251,14 @@ class PiecewiseSolution:
 
 def sample_solution(fn, omega: float, mesh: Mesh, degree: int,
                     node_kind: str = UNIFORM) -> PiecewiseSolution:
-    """Sample a callable, one call per node, onto a piecewise polynomial
-    over ``[0, omega]``.
-
-    ``mesh`` may span [0, 1] (it is then scaled by ``omega``) or [0, omega].
+    """Sample an elementwise callable, called once with all ``n`` nodes and
+    returning ``(n,)`` or ``(n, d)``, onto a piecewise polynomial over ``[0,
+    omega]``. ``mesh`` may span [0, 1] (then scaled by ``omega``) or [0, omega].
     """
     if abs(mesh.breakpoints[-1] - 1.0) < 1e-12 and omega != 1.0:
         mesh = mesh.scaled(omega)
     side = build_forward_grid(mesh, reference_nodes(node_kind, degree))
-    vals = np.asarray([np.atleast_1d(fn(t)) for t in side.nodes], dtype=float)
+    vals = nodal_values(fn, side.nodes)
     pieces = np.arange(side.P)[:, None] * degree + np.arange(degree + 1)
     return PiecewiseSolution(side.breakpoints, vals[pieces], node_kind)
 
@@ -322,14 +321,39 @@ def term_values(term, layout: _BlockLayout, *args) -> np.ndarray:
         fn = term.kernel
         what = (f"kernel of the distributed term {term.source} -> {term.target} "
                 f"on [{term.lower!r}, {term.upper!r}]")
-    out = np.asarray(fn(*args), dtype=float)
     want = np.shape(args[0]) + (layout.block_dim(term.target), layout.block_dim(term.source))
+    return _with_shape(fn(*args), want, f"{what} returned",
+                       ": callbacks are elementwise (arrays of times in, shape + (p, q) out)")
+
+
+def _with_shape(value, want: tuple, what: str, why: str = "") -> np.ndarray:
+    """``value`` as floats of shape ``want``, else a ValueError naming both."""
+    out = np.asarray(value, dtype=float)
     if out.shape != want:
-        raise ValueError(
-            f"{what} returned shape {out.shape}, expected {want}: "
-            "callbacks are elementwise (arrays of times in, shape + (p, q) out)"
-        )
+        raise ValueError(f"{what} shape {out.shape}, expected {want}{why}")
     return out
+
+
+def rhs_values(problem: NonlinearProblem, u, want: tuple) -> np.ndarray:
+    """``problem.rhs(u)``, of shape ``want``: the evaluation times + ``(d,)``."""
+    out = np.asarray(problem.rhs(u), dtype=float)  # a message only on failure: per RK4 stage
+    return out if out.shape == want else _with_shape(
+        out, want, f"rhs of problem {problem.name!r} returned",
+        ": one state vector per time, laid out as [x-block, y-block]")
+
+
+def nodal_values(fn, s: np.ndarray, d: int | None = None) -> np.ndarray:
+    """``fn(s)`` for the 1-d array of nodes ``s``, from one elementwise call,
+    as shape ``(n, d)``: ``fn`` returns ``(n, d)``, or ``(n,)`` when ``d ==
+    1``; ``d=None`` takes ``d`` from the result."""
+    vals = np.asarray(fn(s), dtype=float)
+    if vals.shape == s.shape and d in (None, 1):
+        return vals[:, None]
+    if vals.ndim != 2 or len(vals) != s.size or d not in (None, vals.shape[1]):
+        want = f"({s.size},) or " * (d in (None, 1)) + f"({s.size}, {d or 'd'})"
+        raise ValueError(f"callable returned shape {vals.shape} for {s.size} nodes, expected "
+                         f"{want}: callables are elementwise (points in, shape + (d,) out)")
+    return vals
 
 
 def _solution_access(solution):
@@ -650,17 +674,18 @@ class _StepHistory:
     One object serves the whole integration. ``ts`` holds every history and
     step time up front, ``ys`` the values accepted so far; the stepper sets
     ``i`` (the step), ``stage`` (0 to 3) and ``y`` (the stage value) before
-    each ``rhs`` call.
+    each ``rhs`` call. ``memo`` maps each ``theta`` to the first step of its
+    block and the block's stage values.
     """
 
     def __init__(self, ts, ys, nhist, step, block):
-        self.ts, self.ys, self.nhist, self.block = ts, ys, nhist, block
+        self.ts, self.ys, self.nhist, self.step, self.block = ts, ys, nhist, step, block
         self.starts = ts[nhist - 1:-1]
         self.offsets = np.array([0.0, step / 2, step / 2, step])
         self.memo = {}
 
     def new_block(self, first):
-        self.first = first
+        self.end = first + self.block
         self.memo.clear()
 
     def __call__(self, theta):
@@ -673,23 +698,17 @@ class _StepHistory:
             if theta.ndim == 0 and theta == 0:
                 return self.y
             key = (theta.shape, theta.tobytes())
-        if key not in self.memo:
-            self.memo[key] = self._block_values(theta)
-        rows = self.memo[key]
-        if rows is None:
-            t_now = self.starts[self.i] + self.offsets[self.stage]
-            return self.interp(t_now + theta, self.nhist + self.i)
-        return rows[4 * (self.i - self.first) + self.stage]
+        first, rows = self.memo.get(key, (0, ()))
+        if 4 * (self.i - first) >= len(rows):
+            first, rows = self.memo[key] = self.i, self._block_values(theta)
+        return rows[4 * (self.i - first) + self.stage]
 
     def _block_values(self, theta):
-        # values at every stage of the block, or None when some of them need
-        # history accepted after the block start
-        first = self.first
-        t_now = self.starts[first:first + self.block, None] + self.offsets
-        t_abs = np.add.outer(t_now.ravel(), theta)
-        if t_abs.max() > self.starts[first]:
-            return None
-        rows = self.interp(t_abs, self.nhist + first)
+        # theta's values at every stage of its block from step i; past a
+        # block of one step they stay a step before the accepted history ends
+        size = max(1, np.floor(-np.max(theta) / self.step) - 1)
+        t_now = self.starts[self.i:int(min(self.i + size, self.end)), None] + self.offsets
+        rows = self.interp(np.add.outer(t_now.ravel(), theta), self.nhist + self.i)
         rows.flags.writeable = False
         return rows
 
@@ -714,15 +733,13 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     component 0 over the second half of the tail is below ``DECAY_RATIO``
     times its range over the first half, as below a Hopf point.
 
-    The history is evaluated by the method of steps. The steps are walked in
-    blocks of ``K = max(1, floor(tau / step) - 1)``, ``step = ORBIT_STEP``.
-    The first request for a ``theta`` in a block interpolates the history
-    known at the block start at all ``4 K`` stage times of the block at
-    once; later stages of the block index that memo. If some of those times
-    lie past the known history (a delay shorter than about ``K`` steps),
-    that ``theta`` is interpolated per call against the steps accepted so
-    far. Both give the value of a per-call linear interpolation of the
-    accepted steps, bit for bit.
+    The history is evaluated by the method of steps: a ``theta`` is
+    interpolated once for the stage times of a block of ``max(1,
+    floor(-max(theta) / step) - 1)`` steps (``step = ORBIT_STEP``), cut where
+    the memo is cleared, every ``max(1, floor(tau / step) - 1)`` steps. Such a
+    block is one step long or keeps its times plus ``theta`` a step before the
+    accepted history ends, so each value is that of a per-call linear
+    interpolation of the accepted steps, bit for bit.
 
     Only a scalar ``theta == 0`` returns the current stage value. The history
     holds accepted steps only and holds the last one's value beyond it, so
@@ -733,12 +750,7 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
         raise ValueError("orbit integration guess only supports differential problems")
     tau = problem.tau
     d = problem.d
-    y = np.asarray(y0, dtype=float)
-    if y.shape != (d,):
-        raise ValueError(
-            f"y0 has shape {y.shape}, expected ({d},) for the {d}-dimensional "
-            f"problem {problem.name!r}"
-        )
+    y = _with_shape(y0, (d,), "y0 has", f" for the {d}-dimensional problem {problem.name!r}")
     step = ORBIT_STEP
     nhist = int(np.ceil(tau / step)) + 1
     nsteps = int(np.ceil(t_settle / step))
@@ -752,13 +764,7 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
 
     def f(stage, y_now):
         u.stage, u.y = stage, y_now
-        out = np.asarray(problem.rhs(u), dtype=float)
-        if out.shape != (d,):
-            raise ValueError(
-                f"rhs of problem {problem.name!r} returned shape {out.shape}, "
-                f"expected ({d},): one state vector laid out as [x-block, y-block]"
-            )
-        return out
+        return rhs_values(problem, u, (d,))
 
     for i in range(nsteps):
         if i % u.block == 0:

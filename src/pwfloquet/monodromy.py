@@ -35,7 +35,7 @@ Arnoldi iteration on ``T[cols, cols]``, which has every nonzero eigenvalue of
 ``T``, returns at least ``LEADING``, down to a modulus below ``1 -
 TRIVIAL_RADIUS``, each Ritz pair within ``KRYLOV_TOL ||T||_1``; when the basis
 would exceed half the ``cols`` first, ``eigvals`` of ``T`` is taken instead.
-``eigenfunction`` computes the eigenvectors when asked.
+``eigenfunction`` computes an eigenvector by inverse iteration on ``T[cols, cols]``.
 """
 
 from __future__ import annotations
@@ -107,10 +107,6 @@ class MonodromyDiscretization:
         return dict(out, A2=out["A2"][:, :n] + out["A2"][:, n:] @ integrals,
                     B2=out["B2"][:, :n] + out["B2"][:, n:] @ integrals)
 
-    @property
-    def n_hist(self) -> int:
-        return self.grid.history.n
-
     @cached_property
     def T(self) -> np.ndarray:
         """The dense ``T``, materialized on first use."""
@@ -130,11 +126,6 @@ class MonodromyDiscretization:
         if vals is None:
             vals = np.linalg.eigvals(self.T).astype(complex)
         return _modulus_sorted(vals)
-
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eig(self.T)
-        return vals.astype(complex), vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,6 +333,9 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
             f"but the equation period is {eq.omega}"
         )
     mesh, merged = _merge_breakpoints(eq, mesh, enforce)
+    n_fwd = eq.d * (mesh.L * family.degree + 1)
+    if n_fwd > MAX_DIMENSION:  # refused before any node is built
+        raise ValueError(f"forward dimension {n_fwd} exceeds {MAX_DIMENSION}")
     grid = build_grid(mesh, family, eq.tau)
     dim = eq.d * (grid.history.n + grid.forward.n)
     if dim > MAX_DIMENSION:
@@ -481,6 +475,12 @@ def _modulus_sorted(vals: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
 
+def _start_vector(dim: int) -> np.ndarray:
+    # fixed pseudo-random; numpy.random would take 15 ms and 6 MB to load
+    rng = random.Random(0)
+    return np.array([rng.random() for _ in range(dim)]) - 0.5
+
+
 def _leading_eigvals(t_cols: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
     """Leading eigenvalues of ``T`` (zero outside ``t_cols = T[:, cols]``) by
     Arnoldi on ``T[cols, cols]``, or None past ``cols.size // 2`` basis vectors.
@@ -496,9 +496,7 @@ def _leading_eigvals(t_cols: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
     """
     t, dim = t_cols[cols], cols.size
     norm1 = np.abs(t_cols).sum(axis=0).max(initial=0.0)
-    # the stdlib generator: numpy.random would take 15 ms and 6 MB to load
-    rng = random.Random(0)
-    v = np.array([rng.random() for _ in range(dim)]) - 0.5
+    v = _start_vector(dim)
     basis, hess = (v / np.linalg.norm(v))[None], np.zeros((1, 0))
     for m in range(2 * LEADING, dim // 2 + 1, 10):
         k = hess.shape[1]
@@ -557,19 +555,24 @@ def multipliers(disc: MonodromyDiscretization) -> MultiplierSet:
 
 
 def eigenfunction(disc: MonodromyDiscretization, index: int):
-    """Eigenvector of ``multipliers(disc).values[index]`` (modulus-sorted
-    order) as history nodal values.
+    """Eigenvector of ``mu = multipliers(disc).values[index]`` as history
+    nodal values, shape (n_hist, d), its entry of largest modulus 1.
 
-    The eigenvectors are computed on the first call. Each value is paired
-    with the eigenvector whose eigenvalue lies nearest to it, since the
-    values-only and the full eigensolve may differ in the last digits.
-    Normalized to unit maximum absolute value; shape (n_hist, d).
-    """
+    Two steps of inverse iteration on ``T[cols, cols] - mu I`` from the Arnoldi
+    start vector, the shift moved off ``mu`` by ``eps ||T[cols, cols]||_1`` so
+    that an exact eigenvalue leaves it regular, give ``v``; ``T`` is zero
+    outside ``cols``, so ``T[:, cols] v`` is the eigenvector. For a multiple
+    multiplier it is the start vector's component in the eigenspace. A
+    spurious ``mu`` (``|mu| < TOL_DISCARD``) raises ValueError."""
     vals = disc._eigvals
     if not (0 <= index < vals.size):
         raise IndexError(f"eigenvalue index {index} out of range 0..{vals.size - 1}")
-    full, vecs = disc._eig
-    v = vecs[:, np.argmin(np.abs(full - vals[index]))].reshape(
-        disc.n_hist, disc.equation.d)
-    v = v / np.abs(v).max()
+    mu = vals[index]
+    if abs(mu) < TOL_DISCARD:
+        raise ValueError(f"multiplier {index} is spurious (modulus below {TOL_DISCARD})")
+    t = disc.T_cols[disc.cols]
+    shift = mu + np.finfo(float).eps * np.abs(t).sum(axis=0).max()
+    a = t - shift * np.eye(len(t))
+    v = disc.T_cols @ np.linalg.solve(a, np.linalg.solve(a, _start_vector(len(t))))
+    v = (v / v[np.argmax(np.abs(v))]).reshape(-1, disc.equation.d)
     return NodalFunction(side=disc.grid.history, values=v)

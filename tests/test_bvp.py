@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,14 @@ class TestInitialProfile:
         state = _initial_state(sys, bvp)
         assert calls == [(12 * 4 + 1,)] * 2  # the phase reference, then the guess
         assert np.array_equal(state[:-1], profile(sys.side.nodes))
+
+    def test_rhs_result_of_wrong_shape_is_named(self):
+        # stacked on axis 0: (2, 150) for the 150 collocation points
+        bvp = plant_bvp()
+        rhs = bvp.problem.rhs
+        bvp.problem = dataclasses.replace(bvp.problem, rhs=lambda u: np.moveaxis(rhs(u), -1, 0))
+        with pytest.raises(ValueError, match=r"returned shape \(2, 150\), expected \(150, 2\)"):
+            solve_periodic(bvp)
 
     def test_wrong_profile_shape_is_named(self):
         bvp = plant_bvp()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from oracles import orbit_guess_per_call
+from pwfloquet import model
 from scipy.integrate import quad
 
 from pwfloquet.mesh import Mesh
@@ -119,7 +120,7 @@ class TestPlantCoupled:
 
     def test_coupled_view_reorders(self):
         mesh = Mesh(np.linspace(0.0, 1.0, 5))
-        f = lambda t: np.array([np.sin(t), np.cos(t)])
+        f = lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1)
         sol = sample_solution(f, 2.0, mesh, 3)
         view = coupled_view_of_plant(sol)
         assert np.array_equal(view.values[..., 0], sol.values[..., 1])
@@ -200,7 +201,7 @@ class TestPeriodicityOfCoefficients:
 
 class TestEvalSolution:
     def make(self):
-        f = lambda t: np.array([np.sin(2 * np.pi * t / 3.0)])
+        f = lambda t: np.stack([np.sin(2 * np.pi * t / 3.0)], axis=-1)
         return sample_solution(f, 3.0, Mesh(np.linspace(0, 1, 13)), 4), f
 
     def test_periodic_wrap(self):
@@ -212,7 +213,7 @@ class TestEvalSolution:
                 assert got == pytest.approx(base, rel=1e-12, abs=1e-12)
 
     def test_constant(self):
-        sol = sample_solution(lambda t: np.array([2.5]), 1.0, Mesh([0.0, 1.0]), 2)
+        sol = sample_solution(lambda t: np.full_like(t, 2.5), 1.0, Mesh([0.0, 1.0]), 2)
         for t in [-4.4, 0.0, 0.7, 12.0]:
             assert sol(t)[0] == pytest.approx(2.5, abs=1e-14)
 
@@ -237,6 +238,23 @@ class TestEvalSolution:
             # limited by the degree-4 representation, not the operator
             assert ds(t)[0] == pytest.approx(expect, abs=2e-3)
 
+    def test_sampled_in_one_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(np.shape(t))
+            return np.stack([np.sin(t), np.cos(t)], axis=-1)
+
+        sol = sample_solution(f, 2.0, Mesh(np.linspace(0, 1, 5)), 3)
+        assert calls == [(13,)]
+        assert np.array_equal(sol.values[1, 0], [np.sin(0.5), np.cos(0.5)])
+
+    def test_scalar_convention_is_rejected(self):
+        f = lambda t: np.array([np.sin(t), np.cos(t)])
+        with pytest.raises(ValueError, match=r"shape \(2, 13\) for 13 nodes, "
+                                             r"expected \(13,\) or \(13, d\)"):
+            sample_solution(f, 2.0, Mesh(np.linspace(0, 1, 5)), 3)
+
     def test_validate(self):
         sol, _ = self.make()
         sol.validate()
@@ -248,7 +266,7 @@ class TestEvalSolution:
 
 class TestSolutionIO:
     def test_bit_exact_round_trip(self, tmp_path):
-        f = lambda t: np.array([np.exp(np.sin(t)), np.cos(t) / 3.0])
+        f = lambda t: np.stack([np.exp(np.sin(t)), np.cos(t) / 3.0], axis=-1)
         sol = sample_solution(f, 2.7182818, Mesh(np.linspace(0, 1, 7)), 5)
         p = tmp_path / "s.sol"
         write_solution(sol, p)
@@ -354,6 +372,46 @@ class TestOrbitGuess:
         profile, period = integrate_orbit_guess(counted, np.array(y0), t_settle)
         assert len(calls) == 4 * math.ceil(t_settle / ORBIT_STEP)
         ref_profile, ref_period = orbit_guess_per_call(problem, np.array(y0), t_settle,
+                                                       step=ORBIT_STEP)
+        assert period == ref_period
+        assert np.array_equal(profile(self.S), ref_profile(self.S))
+
+    def test_short_thetas_are_served_from_blocks(self, monkeypatch):
+        # thetas up to -0.2 = -4 steps, one array: a block of 3 steps each,
+        # where a per-call lookup interpolates at every one of 1,600 stages
+        calls = []
+        interp = model._StepHistory.interp
+
+        def counted(self, *args):
+            calls.append(None)
+            return interp(self, *args)
+
+        monkeypatch.setattr(model._StepHistory, "interp", counted)
+        problem = _delayed_vdp(0.8, np.linspace(-0.8, -0.2, 7))
+        profile, period = integrate_orbit_guess(problem, np.array([0.5, 0.0]), 20.0)
+        assert len(calls) <= 200
+        ref_profile, ref_period = orbit_guess_per_call(problem, np.array([0.5, 0.0]), 20.0,
+                                                       step=ORBIT_STEP)
+        assert period == ref_period
+        assert np.array_equal(profile(self.S), ref_profile(self.S))
+
+    def test_state_dependent_theta(self):
+        # a new theta at nearly every stage: each gets a memo entry, and the
+        # memo is cleared every K steps
+        tau, sizes = 0.5, []
+        block = max(1, math.floor(tau / ORBIT_STEP) - 1)
+
+        def rhs(u):
+            s0 = u(0.0)
+            x, y = s0[..., 0], s0[..., 1]
+            xd = u(-tau * (0.75 + 0.25 * np.tanh(x)))[..., 0]
+            sizes.append(len(getattr(u, "memo", ())))
+            return 3.0 * np.stack([y, (1.0 - x * x) * y - xd], axis=-1)
+
+        problem = NonlinearProblem(name="state-delay", d_x=0, d_y=2, tau=tau, rhs=rhs)
+        profile, period = integrate_orbit_guess(problem, np.array([0.5, 0.0]), 20.0)
+        assert max(sizes) <= 4 * block
+        ref_profile, ref_period = orbit_guess_per_call(problem, np.array([0.5, 0.0]), 20.0,
                                                        step=ORBIT_STEP)
         assert period == ref_period
         assert np.array_equal(profile(self.S), ref_profile(self.S))

@@ -179,9 +179,9 @@ class TestEigenfunction:
         assert np.linalg.eigvals(disc.T).dtype == np.float64
         ms = multipliers(disc)
         assert ms.values.dtype == np.complex128
-        assert disc._eig[0].dtype == np.complex128
         assert abs(ms.dominant() - np.exp(0.5)) <= 1e-8
         v = eigenfunction(disc, 0).values[:, 0]
+        assert v.dtype == np.complex128
         assert np.allclose(disc.T @ v, ms.values[0] * v)
 
     def test_trivial_eigenfunction_is_solution_derivative(self):
@@ -227,6 +227,37 @@ class TestEigenfunction:
             v = eigenfunction(disc, i).values.ravel()
             assert np.linalg.norm(disc.T @ v - vals[i] * v) <= 1e-10 * scale * np.linalg.norm(v)
 
+    def test_leading_eigenvectors_match_dense_eig(self):
+        # plant at M = 40 lists leading multipliers only (the Arnoldi path);
+        # the eigenvectors of numpy's dense eig of T are the oracle
+        disc = _causal_case("plant", None, 40)
+        assert disc.dim > DENSE_DIM
+        vals, vecs = np.linalg.eig(disc.T)
+        for i, mu in enumerate(multipliers(disc).values[:6]):
+            v = eigenfunction(disc, i).values.ravel()
+            w = vecs[:, np.argmin(np.abs(vals - mu))]
+            v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+            phase = np.vdot(v, w) / abs(np.vdot(v, w))
+            assert np.linalg.norm(phase * v - w) <= 1e-12
+
+    def test_double_multiplier_gives_the_start_component(self):
+        # 2 is double, with eigenspace span(e0, e1); 0.5 has the eigenvector
+        # x = (-2/3, -2/3, 1). The start vector s = a + s_2 x with a in the
+        # eigenspace of 2, so both indices of 2 return a = s + 2/3 s_2 (1, 1, 0)
+        toy = _around(np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.5]]),
+                      degree=2)
+        s = monodromy._start_vector(3)
+        want = np.r_[s[:2] + 2.0 / 3.0 * s[2], 0.0]
+        want /= want[np.argmax(np.abs(want))]
+        for i in (0, 1):
+            assert np.abs(eigenfunction(toy, i).values[:, 0] - want).max() <= 1e-14
+
+    def test_spurious_multiplier_is_refused(self):
+        toy = _around(np.array([[2.0, 0.0], [0.0, 0.0]]))
+        assert multipliers(toy).spurious.tolist() == [False, True]
+        with pytest.raises(ValueError, match="spurious"):
+            eigenfunction(toy, 1)
+
     def test_index_out_of_range(self):
         eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
         disc = assemble(eq, Mesh([0.0, 1.0]), chebyshev_family(5))
@@ -259,6 +290,16 @@ class TestErrors:
         mesh = Mesh(np.linspace(0.0, 1.0, 6001))
         with pytest.raises(ValueError, match="exceeds"):
             assemble(eq, mesh, chebyshev_family(2))
+
+    def test_oversize_forward_side_is_refused_before_the_grid(self, monkeypatch):
+        # d (L M + 1) = 20001 nodes on [0, omega] alone exceed the limit
+        def no_grid(*args):
+            raise AssertionError("build_grid called for an oversize problem")
+
+        monkeypatch.setattr(monodromy, "build_grid", no_grid)
+        eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            assemble(eq, Mesh(np.linspace(0.0, 1.0, 5001)), chebyshev_family(4))
 
 
 class TestPlantCoupledSpectrum:
@@ -538,11 +579,11 @@ class TestCallbackConvention:
             assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(4))
 
 
-def _around(t_mat):
-    """A discretization whose monodromy matrix is ``t_mat``; its grid has 2
-    history nodes, which only ``eigenfunction`` reads."""
+def _around(t_mat, degree=1):
+    """A discretization whose monodromy matrix is ``t_mat``; its grid has
+    ``degree + 1`` history nodes, which only ``eigenfunction`` reads."""
     base = assemble(scalar_dde([(0.0, 0.0)], omega=1.0, tau=1.0), Mesh([0.0, 1.0]),
-                    chebyshev_family(1))
+                    chebyshev_family(degree))
     return MonodromyDiscretization(equation=base.equation, grid=base.grid,
                                    parts=base.parts, T_cols=t_mat,
                                    cols=np.arange(t_mat.shape[1]))
