@@ -675,18 +675,19 @@ class _StepHistory:
     step time up front, ``ys`` the values accepted so far; the stepper sets
     ``i`` (the step), ``stage`` (0 to 3) and ``y`` (the stage value) before
     each ``rhs`` call. ``memo`` maps each ``theta`` to the first step of its
-    block and the block's stage values.
+    block and the block's stage values; a ``theta`` in it or in ``last``, the
+    previous memo, recurs.
     """
 
     def __init__(self, ts, ys, nhist, step, block):
         self.ts, self.ys, self.nhist, self.step, self.block = ts, ys, nhist, step, block
         self.starts = ts[nhist - 1:-1]
         self.offsets = np.array([0.0, step / 2, step / 2, step])
-        self.memo = {}
+        self.memo, self.last = {}, {}
 
     def new_block(self, first):
         self.end = first + self.block
-        self.memo.clear()
+        self.last, self.memo = self.memo, {}
 
     def __call__(self, theta):
         if isinstance(theta, (int, float)):
@@ -700,13 +701,14 @@ class _StepHistory:
             key = (theta.shape, theta.tobytes())
         first, rows = self.memo.get(key, (0, ()))
         if 4 * (self.i - first) >= len(rows):
-            first, rows = self.memo[key] = self.i, self._block_values(theta)
+            recurs = key in self.memo or key in self.last
+            first, rows = self.memo[key] = self.i, self._block_values(theta, recurs)
         return rows[4 * (self.i - first) + self.stage]
 
-    def _block_values(self, theta):
-        # theta's values at every stage of its block from step i; past a
-        # block of one step they stay a step before the accepted history ends
-        size = max(1, np.floor(-np.max(theta) / self.step) - 1)
+    def _block_values(self, theta, recurs):
+        # theta's values at every stage of its block from step i, one step at
+        # first sight; longer, they stay a step before the accepted history ends
+        size = max(1, np.floor(-np.max(theta) / self.step) - 1) if recurs else 1
         t_now = self.starts[self.i:int(min(self.i + size, self.end)), None] + self.offsets
         rows = self.interp(np.add.outer(t_now.ravel(), theta), self.nhist + self.i)
         rows.flags.writeable = False
@@ -733,13 +735,14 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     component 0 over the second half of the tail is below ``DECAY_RATIO``
     times its range over the first half, as below a Hopf point.
 
-    The history is evaluated by the method of steps: a ``theta`` is
-    interpolated once for the stage times of a block of ``max(1,
-    floor(-max(theta) / step) - 1)`` steps (``step = ORBIT_STEP``), cut where
-    the memo is cleared, every ``max(1, floor(tau / step) - 1)`` steps. Such a
-    block is one step long or keeps its times plus ``theta`` a step before the
-    accepted history ends, so each value is that of a per-call linear
-    interpolation of the accepted steps, bit for bit.
+    The history is evaluated by the method of steps. The memo starts anew
+    every ``max(1, floor(tau / step) - 1)`` steps (``step = ORBIT_STEP``). A
+    ``theta`` new to this memo and the one before is interpolated for the
+    four stage times of one step; one read again, for a block of ``max(1,
+    floor(-max(theta) / step) - 1)`` steps, cut where the memo starts anew.
+    Such a block is one step long or keeps its times plus ``theta`` a step
+    before the accepted history ends, so each value is that of a per-call
+    linear interpolation of the accepted steps, bit for bit.
 
     Only a scalar ``theta == 0`` returns the current stage value. The history
     holds accepted steps only and holds the last one's value beyond it, so

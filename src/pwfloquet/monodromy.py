@@ -21,12 +21,14 @@ mesh piece, dense over the few columns the group touches.
 
 The equation is causal: ``I - A2`` is block lower triangular with one
 diagonal block per forward piece, which ``assemble`` checks. Block forward
-substitution forms ``X = (I - A2)^{-1} A1`` where ``A1`` is nonzero and sums
-the integrals of ``X`` piece by piece. ``T`` is zero outside the columns
-``cols`` that ``A1`` or ``B1`` reads; ``X`` and ``T[:, cols]`` are the only
-dense arrays (``T`` is formed on demand). Higham's estimate of
-``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``) against the
-exact ``||I - A2||_1`` gives ``rcond``, which must reach ``1e-14``.
+substitution, each diagonal inverse folded into its piece's off-diagonal
+part, forms ``X = (I - A2)^{-1} A1`` from ``A1``'s row groups where ``A1`` is
+nonzero, and sums the integrals of ``X`` piece by piece. ``T`` is zero
+outside the columns ``cols`` that ``A1`` or ``B1`` reads; ``X`` and ``T[:,
+cols]`` are the only dense arrays (``T`` is formed on demand). Higham's
+estimate of ``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``)
+against the exact ``||I - A2||_1`` gives ``rcond``, which must reach
+``1e-14``.
 
 ``multipliers`` computes eigenvalues only. Up to ``DENSE_DIM`` it takes
 every eigenvalue of ``T`` (``numpy.linalg.eigvals``). Above it, the verdict
@@ -56,11 +58,13 @@ __all__ = ["MonodromyDiscretization", "MultiplierSet", "CoarseDiscretizationErro
            "MissingBreakpointsError", "assemble", "multipliers", "eigenfunction"]
 
 # Guard against runaway problem sizes. The blocks stay structured; the dense
-# arrays, X and A1 (n_fwd d rows, one column per column A1 uses) and T[:, cols]
-# (n_hist d rows), hold at most dim^2 doubles (3.2 GB at 20k), as T does.
+# arrays, X (n_fwd d rows and the integrals, one column per column A1 uses)
+# and T[:, cols] (n_hist d rows), hold at most about dim^2 doubles (3.2 GB
+# at 20k), as T does.
 MAX_DIMENSION = 20_000
-# Rows of a distributed term whose quadrature points are built at once.
-ROW_CHUNK = 64
+# Rows of a distributed term whose quadrature points are built at once (at 64,
+# qre at L = 40, M = 15 made 12 MB temporaries, paged in anew for every chunk).
+ROW_CHUNK = 32
 # Breakpoint handling accepted by ``assemble``.
 ENFORCE_CHOICES = ("merge", "strict", "ignore")
 # Multiplier classification: moduli below TOL_DISCARD are flagged spurious,
@@ -276,31 +280,35 @@ def _row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
 
 class _Block:
     """A block as row groups ``(rows, columns, dense values)``, one per piece
-    of the rows' side, each dense over the columns its points touch."""
+    of the rows' side, each dense over the columns its points touch. Each part
+    of the triples (none names a ``(row, column)`` twice) is summed into the
+    span of values it touches: the bits of one sum over all the triples."""
 
     def __init__(self, shape, side, d: int, triples):
-        rows, cols, vals = (np.concatenate(part) for part in zip(
-            (np.empty(0, int), np.empty(0, int), np.empty(0)), *triples))
         # piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
         edges = np.r_[0, d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
-        group = np.maximum(rows // d - 1, 0) // side.family.degree
-        # no sort: a (group, column) mask numbers the columns of each group,
-        # and one bincount sums the triples into every group's matrix
-        key = group * shape[1] + cols
+        group_of = lambda rows: np.maximum(rows // d - 1, 0) // side.family.degree
+        # no sort: a (group, column) mask numbers the columns of each group
         mask = np.zeros((side.P, shape[1]), bool)
-        mask.reshape(-1)[key] = True
+        for rows, cols, _ in triples:
+            mask[group_of(rows), cols] = True
         pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
         nrows, count = np.diff(edges), mask.sum(axis=1)
         start = np.cumsum(nrows * count) - nrows * count
-        flat = start[group] + (rows - edges[group]) * count[group] + pos.reshape(-1)[key]
-        dense = np.bincount(flat, vals, minlength=(nrows * count).sum())
+        dense = np.zeros((nrows * count).sum())
+        for rows, cols, vals in triples:
+            group = group_of(rows)
+            flat = start[group] + (rows - edges[group]) * count[group] + pos[group, cols]
+            if flat.size:
+                span = dense[flat.min():flat.max() + 1]
+                span += np.bincount(flat - flat.min(), vals, minlength=span.size)
         self.shape = shape
         self.groups = [(slice(r, r + n), np.flatnonzero(m), dense[a:a + n * c].reshape(n, c))
                        for r, m, a, n, c in zip(edges, mask, start, nrows, count)]
 
     def dense(self, cols=None) -> np.ndarray:
         """The dense block, or its columns ``cols`` in that order (they hold all
-        its entries); column-major, as ``assemble`` adds ``B2 X`` by column."""
+        its entries); column-major, like ``T``."""
         cols = np.arange(self.shape[1]) if cols is None else cols
         index = np.full(self.shape[1], cols.size)  # out of range outside cols
         index[cols] = np.arange(cols.size)
@@ -355,9 +363,11 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     # T is zero outside the columns A1 or B1 reads; it equals B1 outside A1's
     used = np.unique(np.concatenate([at for _, at, _ in parts["A1"].groups]))
     cols = np.r_[used, np.setdiff1d(np.concatenate([g[1] for g in parts["B1"].groups]), used)]
-    x = system.solve(parts["A1"].dense(used))
+    x = system.solve([(used.searchsorted(at), w) for _, at, w in parts["A1"].groups],
+                     used.shape)
     t_cols = parts["B1"].dense(cols)
-    t_cols[:, :used.size] += np.vstack([w @ x[at] for _, at, w in parts["B2"].groups])
+    for rows, at, w in parts["B2"].groups:
+        t_cols[rows, :used.size] += w @ x[at]
     return MonodromyDiscretization(equation=eq, grid=grid, parts=parts, T_cols=t_cols,
                                    cols=cols, merged_breakpoints=merged)
 
@@ -369,8 +379,10 @@ def _describe_piece(side, i: int) -> str:
 
 class _CausalSystem:
     """``S = I - A2`` for a structured ``A2`` that is block lower triangular
-    by forward piece; only the inverses ``D_i^{-1}`` of the diagonal blocks
-    are formed. ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds
+    by forward piece. Per piece it keeps the inverse ``D_i^{-1}`` of the
+    diagonal block and ``F_i = D_i^{-1} [L_i G_i]``, its off-diagonal part
+    (entries on earlier nodes, integral coefficients) over the columns
+    ``cols_i``. ``piece_rcond[i] = 1 / (||S||_1 ||D_i^{-1}||_1)`` bounds
     ``rcond`` from above (``D_i^{-1}`` is a diagonal block of ``S^{-1}``).
     Raises ValueError when ``A2`` has an entry above the block diagonal, and
     :class:`CoarseDiscretizationError` when a diagonal block is singular.
@@ -403,7 +415,7 @@ class _CausalSystem:
                     "discretization too coarse"
                 ) from exc
             self.pieces.append((rows, inv, np.concatenate([cols[:lo], keys]),
-                                np.concatenate([w[:, :lo], w[:, hi:]], axis=1)))
+                                inv @ np.concatenate([w[:, :lo], w[:, hi:]], axis=1)))
             inv_norms.append(np.abs(inv).sum(axis=0).max())
             a2_rows = np.matmul(w[:, hi:], integrals[keys - self.n, :rows.stop],
                                 out=buf[:len(diag), :rows.stop])
@@ -413,38 +425,46 @@ class _CausalSystem:
         self.norm1 = col_sums.max()
         self.piece_rcond = 1.0 / (self.norm1 * np.array(inv_norms))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``S^{-1} rhs`` by block forward substitution, extended by its
-        integrals ``int_0^{t_k}``, summed piece by piece."""
+    def solve(self, rhs, shape=()) -> np.ndarray:
+        """``X = S^{-1} R`` by block forward substitution, ``X_j = D_j^{-1} R_j +
+        F_j [X; S][cols_j]``, extended by the integrals ``S``, summed piece by
+        piece. ``R`` has rows of shape ``shape``; ``rhs`` gives one group
+        ``(columns, values)`` per piece: ``R_j[..., columns] = values``, else 0."""
         m, d, n = self.side.family.degree, self.d, self.n
-        x = np.zeros((self.ext,) + rhs.shape[1:])
-        integrals = x[n:].reshape((self.side.P + 1, d) + rhs.shape[1:])  # a view: int_0^{t_k}
-        for j, (rows, inv, cols, w) in enumerate(self.pieces):
-            x[rows] = inv @ (rhs[rows] + w @ x[cols])
+        x = np.zeros((self.ext,) + shape)
+        integrals = x[n:].reshape((self.side.P + 1, d) + shape)  # a view: int_0^{t_k}
+        for j, ((rows, inv, cols, f), (at, r)) in enumerate(zip(self.pieces, rhs)):
+            x_j = np.matmul(f, x[cols], out=x[rows])
+            x_j[..., at] += inv @ r
             integrals[j + 1] = integrals[j] + self.quad[j] @ x[j * m * d:((j + 1) * m + 1) * d]
         return x
 
     def solve_t(self, rhs: np.ndarray) -> np.ndarray:
-        """``S^{-T} rhs`` by block back substitution; the coefficients of the
-        integrals in the rows already solved are summed backwards."""
+        """``S^{-T} rhs`` by block back substitution, ``x_j = D_j^{-T} acc_j``
+        and ``acc[cols_j] += F_j^T acc_j``; the coefficients of the integrals
+        in the rows already solved are summed backwards."""
         m, d, n = self.side.family.degree, self.d, self.n
         x = np.empty(rhs.shape)
         acc = np.concatenate([rhs, np.zeros((self.ext - n,) + rhs.shape[1:])])
         tail = np.zeros((d,) + rhs.shape[1:])
         for j in reversed(range(len(self.pieces))):
-            rows, inv, cols, w = self.pieces[j]
+            rows, inv, cols, f = self.pieces[j]
             # piece j's nodes enter int_0^{t_k} Z for every k > j
             tail += acc[n + (j + 1) * d:n + (j + 2) * d]
             acc[j * m * d:((j + 1) * m + 1) * d] += self.quad[j].T @ tail
             x[rows] = inv.T @ acc[rows]
-            acc[cols] += w.T @ x[rows]
+            acc[cols] += f.T @ acc[rows]
         return x
 
     def inv_norm1(self) -> float:
         """Lower estimate of ``||S^{-1}||_1``: Higham's method as in LAPACK's
         ``dlacn2`` (what ``dgecon`` runs), which draws no random numbers."""
         n = self.n
-        y = self.solve(np.full(n, 1.0 / n))[:n]
+
+        def solve(v):  # each piece's slice of v, over every column
+            return self.solve([(slice(None), v[rows]) for rows, *_ in self.pieces])[:n]
+
+        y = solve(np.full(n, 1.0 / n))
         if n == 1:
             return float(abs(y[0]))
         est = np.abs(y).sum()
@@ -452,7 +472,7 @@ class _CausalSystem:
         z = self.solve_t(sign)
         j = int(np.argmax(np.abs(z)))
         for _ in range(4):  # iterations 2 ... ITMAX = 5
-            y = self.solve(np.eye(1, n, j)[0])[:n]
+            y = solve(np.eye(1, n, j)[0])
             est_old, est = est, np.abs(y).sum()
             new_sign = np.where(y >= 0.0, 1.0, -1.0)
             if np.array_equal(new_sign, sign) or est <= est_old:
@@ -463,7 +483,7 @@ class _CausalSystem:
             if z[last] == abs(z[j]):
                 break
         alt = np.resize([1.0, -1.0], n) * (1.0 + np.arange(n) / (n - 1))
-        return float(max(est, 2.0 * np.abs(self.solve(alt)[:n]).sum() / (3 * n)))
+        return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
 
     def rcond(self) -> float:
         """Reciprocal 1-norm condition estimate, as ``gecon`` defines it."""

@@ -13,10 +13,11 @@ way the periodic solver did before it assembled its Jacobian analytically.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
 ``kernel_quadrature`` are dense, one-window conveniences over the library's
 sparse weight builders; ``restrict`` samples a scalar-style callback node by
-node. ``searchsorted_groups`` and ``scattered_monodromy`` keep the earlier
-constructions of a block's row groups (a binary search of each row among the
-group edges) and of ``T`` (``B1`` dense, ``B2 X`` scattered into the columns
-``A1`` reads), which the library must reproduce bit for bit.
+node. ``searchsorted_groups`` keeps the earlier construction of a block's
+row groups (a binary search of each row among the group edges), which the
+library must reproduce bit for bit. ``scattered_monodromy`` forms ``T`` with
+its own block forward substitution, the diagonal inverse applied after the
+off-diagonal products, which the library's folded one matches to roundoff.
 ``loop_forward_grid``, ``loop_history_grid`` and ``loop_refine_mesh`` keep
 the earlier piece-by-piece grid and refinement builders (the history side by
 a right-to-left walk over windows of ``omega``), which the library's array
@@ -142,15 +143,25 @@ def searchsorted_groups(shape, side, d, triples):
             for r, m, a, n, c in zip(edges, mask, start, nrows, count)]
 
 
-def scattered_monodromy(parts, system):
+def scattered_monodromy(parts, side, d):
     """``T`` formed whole: ``B1`` dense, and ``B2 X`` with ``X = (I - A2)^{-1}
-    A1`` added into the sorted columns where ``A1`` is nonzero; ``system`` is
-    the causal solver of ``I - A2``."""
+    A1`` added into the sorted columns where ``A1`` is nonzero. ``X`` comes
+    from a block forward substitution over the forward grid side ``side``,
+    ``X_j = D_j^{-1} (A1_j + L_j X[cols_j] + G_j S)``, with ``A1`` dense and
+    the integrals ``S`` of ``X`` from ``breakpoint_weights``."""
     used = np.unique(np.concatenate([at for _, at, _ in parts["A1"].groups]))
     a1 = np.zeros((parts["A1"].shape[0], used.size), order="F")
     for rows, at, w in parts["A1"].groups:
         a1[rows, np.searchsorted(used, at)] = w
-    x = system.solve(a1)
+    n = a1.shape[0]
+    integrals = np.kron(breakpoint_weights(side), np.eye(d))
+    x = np.zeros((parts["A2"].shape[1], used.size))
+    for j, (rows, at, w) in enumerate(parts["A2"].groups):
+        own = (at >= rows.start) & (at < n)
+        diag = np.eye(rows.stop - rows.start)
+        diag[:, at[own] - rows.start] -= w[:, own]
+        x[rows] = np.linalg.inv(diag) @ (a1[rows] + w[:, ~own] @ x[at[~own]])
+        x[n + (j + 1) * d:n + (j + 2) * d] = integrals[(j + 1) * d:(j + 2) * d] @ x[:n]
     t_mat = np.zeros(parts["B1"].shape, order="F")
     for rows, at, w in parts["B1"].groups:
         t_mat[rows, at] = w

@@ -395,11 +395,16 @@ class TestOrbitGuess:
         assert period == ref_period
         assert np.array_equal(profile(self.S), ref_profile(self.S))
 
-    def test_state_dependent_theta(self):
+    def test_state_dependent_theta(self, monkeypatch):
         # a new theta at nearly every stage: each gets a memo entry, and the
         # memo is cleared every K steps
         tau, sizes = 0.5, []
         block = max(1, math.floor(tau / ORBIT_STEP) - 1)
+        times, interp = [], model._StepHistory.interp
+
+        def counted(self, t_abs, n):
+            times.append(np.size(t_abs))
+            return interp(self, t_abs, n)
 
         def rhs(u):
             s0 = u(0.0)
@@ -408,13 +413,31 @@ class TestOrbitGuess:
             sizes.append(len(getattr(u, "memo", ())))
             return 3.0 * np.stack([y, (1.0 - x * x) * y - xd], axis=-1)
 
+        monkeypatch.setattr(model._StepHistory, "interp", counted)
         problem = NonlinearProblem(name="state-delay", d_x=0, d_y=2, tau=tau, rhs=rhs)
         profile, period = integrate_orbit_guess(problem, np.array([0.5, 0.0]), 20.0)
         assert max(sizes) <= 4 * block
+        # a theta seen once is interpolated for its own step's four stages
+        assert sum(times) <= 4 * len(sizes)
         ref_profile, ref_period = orbit_guess_per_call(problem, np.array([0.5, 0.0]), 20.0,
                                                        step=ORBIT_STEP)
         assert period == ref_period
         assert np.array_equal(profile(self.S), ref_profile(self.S))
+
+    def test_constant_theta_costs_one_extra_step(self, monkeypatch):
+        # logistic reads theta = -tau at every stage: a full block of steps per
+        # memo, and one one-step block when it is first seen
+        calls, interp = [], model._StepHistory.interp
+
+        def counted(self, *args):
+            calls.append(None)
+            return interp(self, *args)
+
+        monkeypatch.setattr(model._StepHistory, "interp", counted)
+        problem = builtin("logistic", r=1.6).problem
+        integrate_orbit_guess(problem, np.array([1.15]), t_settle=100.0)
+        block = max(1, math.floor(problem.tau / ORBIT_STEP) - 1)
+        assert len(calls) <= math.ceil(math.ceil(100.0 / ORBIT_STEP) / block) + 1
 
     def test_list_y0_accepted(self):
         problem = builtin("logistic", r=1.6).problem

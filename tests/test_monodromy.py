@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -505,7 +507,11 @@ def _assert_structure_matches_dense(disc):
     assert np.array_equal(np.sort(disc.cols), np.unique(disc.cols))
     assert not np.delete(disc.T, disc.cols, axis=1).any()
     assert np.array_equal(disc.T[:, disc.cols], disc.T_cols)
-    assert np.array_equal(disc.T, scattered_monodromy(disc.parts, system))
+    # the oracle applies D_j^{-1} after the off-diagonal products, the solver
+    # folds it into them: the rounding differs (4.1e-15 relative at most on
+    # the builtins)
+    t_ref = scattered_monodromy(disc.parts, fwd, d)
+    assert np.abs(disc.T - t_ref).max() <= 1e-13 * np.abs(t_ref).max()
     _assert_groups_match_searchsorted(disc)
 
 
@@ -559,6 +565,73 @@ class TestDenseOracle:
                                          disc.equation.d)
         exact = np.linalg.norm(np.linalg.inv(np.eye(system.n) - disc.blocks["A2"]), 1)
         assert system.inv_norm1() <= exact * (1 + 1e-12)
+
+
+def _assert_causal_solves(disc):
+    """``solve`` from ``A1``'s row groups and from dense groups, and
+    ``solve_t``, against dense solves with ``I - A2`` and its transpose; the
+    rows past ``n`` hold the integrals ``int_0^{t_k}`` of the solution."""
+    fwd, d = disc.grid.forward, disc.equation.d
+    system = monodromy._CausalSystem(disc.parts["A2"], fwd, d)
+    n, a1 = system.n, disc.parts["A1"]
+    s = np.eye(n) - disc.blocks["A2"]
+    rhs = np.random.default_rng(5).normal(size=(n, 3))
+    integrals = np.kron(breakpoint_weights(fwd), np.eye(d))
+    for got, want in (
+            (system.solve([(at, w) for _, at, w in a1.groups], (a1.shape[1],)),
+             np.linalg.solve(s, disc.blocks["A1"])),
+            (system.solve([(slice(None), rhs[rows]) for rows, *_ in system.pieces], (3,)),
+             np.linalg.solve(s, rhs))):
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got[:n] - want).max() <= 1e-12 * scale
+        assert np.abs(got[n:] - integrals @ got[:n]).max() <= 1e-13 * scale
+    want = np.linalg.solve(s.T, rhs)
+    assert np.abs(system.solve_t(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestCausalSystem:
+    """The folded block substitutions against dense solves, and what
+    ``assemble`` keeps dense."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_solves_match_dense(self, name):
+        disc = _causal_case(name, np.linspace(0.0, 1.0, 5), 8)
+        if name == "quadratic-re":  # the last piece's A1 group is empty
+            assert [at.size for _, at, _ in disc.parts["A1"].groups] == [25, 17, 9, 0]
+        _assert_causal_solves(disc)
+
+    @given(**_RANDOM_EQUATIONS)
+    @settings(max_examples=25, deadline=None)
+    def test_random_equation_solves_match_dense(self, inner, M, delays, lower, upper, kind):
+        eq = _random_equation(kind, delays, lower, upper)
+        mesh = Mesh(np.unique(np.round([0.0, 1.0] + inner, 3)))
+        _assert_causal_solves(assemble(eq, mesh, chebyshev_family(M), enforce="ignore"))
+
+    def test_assemble_densifies_only_b1(self, monkeypatch):
+        densified, dense = [], monodromy._Block.dense
+
+        def recorded(self, cols=None):
+            densified.append(self)
+            return dense(self, cols)
+
+        monkeypatch.setattr(monodromy._Block, "dense", recorded)
+        disc = _causal_case("plant", None, 8)
+        assert len(densified) == 1 and densified[0] is disc.parts["B1"]
+
+    def test_plant_assembly_peak_memory(self):
+        # X (2464 x 522) is 10.3 MB; a dense A1 as large, the stacked B2 X and
+        # the concatenated triples of A2 took the peak to 30.0 MB
+        from pwfloquet.model import data_path, read_solution
+
+        sol = read_solution(data_path("plant_solution.sol"))
+        eq = linearize(builtin("plant").problem, sol)
+        tracemalloc.start()
+        try:
+            assemble(eq, sol.mesh, chebyshev_family(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26e6
 
 
 class TestCallbackConvention:
