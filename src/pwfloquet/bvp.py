@@ -115,13 +115,6 @@ def _collocation_points(kind: str, m: int) -> np.ndarray:
     raise ValueError(f"unknown collocation node kind {kind!r}")
 
 
-def _profile_on_01(source) -> Callable:
-    if isinstance(source, PiecewiseSolution):
-        om = source.omega
-        return lambda s: source(np.asarray(s) * om)
-    return source
-
-
 class _System:
     """Fixed tables, the residual map and its Jacobian for one BVP instance.
 
@@ -136,17 +129,15 @@ class _System:
         self.problem = bvp.problem
         self.d = d = bvp.problem.d
         self.m = m = bvp.degree
-        if m < 1:
-            raise ValueError("polynomial degree must be >= 1")
         b, L = bvp.mesh.breakpoints, bvp.mesh.L
         if abs(b[0]) > 1e-14 or abs(b[-1] - 1.0) > 1e-14:
             raise ValueError("the BVP mesh must span [0, 1]")
         self.side = build_forward_grid(Mesh(b - b[0]), reference_nodes(UNIFORM, m))
         b = self.side.breakpoints
-        self.table = table = bary_table(self.side.family)
+        table = bary_table(self.side.family)
         self.n_nodes = n = L * m + 1
         self.n_unknowns = d * n + 1
-        self.h = h = np.diff(b)
+        h = np.diff(b)
         self.piece_cols = np.arange(L)[:, None] * m + np.arange(m + 1)  # (L, m+1)
         zeta = _collocation_points(bvp.colloc_kind, m)
         self.colloc = (b[:-1, None] + h[:, None] * zeta).ravel()
@@ -169,8 +160,8 @@ class _System:
         period[np.arange(d), n - 1, np.arange(d)] = -1.0
         self.offset = np.zeros(self.n_unknowns)
 
-        ref = bvp.phase_reference if bvp.phase_reference is not None else bvp.guess_profile
-        ref_nodal = _initial_state_from(self, ref).reshape(n, d)
+        # the phase reference defaults to the guess
+        ref_nodal = _initial_state(self, bvp, bvp.phase_reference)[:-1].reshape(n, d)
         phase = self.linear[-1].reshape(n, d)
         if bvp.phase == "integral":
             # <p, q'> with q the reference: per-piece Gauss rule, exact here
@@ -226,8 +217,7 @@ class _System:
         jp = np.zeros((npts, d, self.n_nodes, d))
         dgdw = np.zeros((npts, d))
         # p' on every piece, as nodal values of the piece's own polynomial
-        dp = (np.einsum("kj,ijd->ikd", self.table.diff, p[self.piece_cols])
-              / self.h[:, None, None])
+        dp = PiecewiseSolution(self.side.breakpoints, p[self.piece_cols]).derivative().values
         t = w * self.colloc
         discrete, distributed = self.problem.linearize_terms(
             lambda tt: self.values_at(p, np.asarray(tt, float) / w), w)
@@ -283,13 +273,13 @@ class _System:
         return c, s, w * (s + shifts[k] - self.colloc[c]), wq
 
 
-def _initial_state_from(sys: _System, source) -> np.ndarray:
-    """Nodal values of a profile over [0, 1], from one elementwise call."""
-    return nodal_values(_profile_on_01(source), sys.side.nodes, sys.d).ravel()
-
-
-def _initial_state(sys: _System, bvp: BvpProblem) -> np.ndarray:
-    flat = _initial_state_from(sys, bvp.guess_profile)
+def _initial_state(sys: _System, bvp: BvpProblem, profile=None) -> np.ndarray:
+    """Nodal values over [0, 1] of ``profile`` (the guess profile unless
+    given), from one elementwise call, followed by the period guess."""
+    source = bvp.guess_profile if profile is None else profile
+    if isinstance(source, PiecewiseSolution):
+        source = lambda s, sol=source: sol(np.asarray(s) * sol.omega)
+    flat = nodal_values(source, sys.side.nodes, sys.d).ravel()
     return np.concatenate([flat, [float(bvp.period_guess)]])
 
 
@@ -401,11 +391,7 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
     period = float(state[-1])
     if period <= 0:
         raise ConvergenceError(f"converged to a nonpositive period {period}", rnorm)
-    solution = PiecewiseSolution(
-        breakpoints=period * sys.side.breakpoints,
-        values=sys.nodal_view(state[:-1]),
-        node_kind=UNIFORM,
-    )
+    solution = PiecewiseSolution(period * sys.side.breakpoints, sys.nodal_view(state[:-1]))
     return BvpResult(
         solution=solution, period=period, iterations=iterations,
         residual_norm=rnorm,

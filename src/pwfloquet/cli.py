@@ -457,11 +457,10 @@ def main(argv=None) -> int:
             return cmd_solve(cfg)
         if args.command == "multipliers":
             return cmd_multipliers(cfg, save_mesh=getattr(args, "save_mesh", None))
-        if args.command == "converge":
-            values = [int(x) for x in args.values.split(",")]
-            ref = args.reference or "self:2,120"
-            return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # converge, the last of the required subcommands
+        values = [int(x) for x in args.values.split(",")]
+        ref = args.reference or "self:2,120"
+        return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
     except BrokenPipeError:
         # the reader stopped early (``| head``); stdout goes to devnull so
         # that its flush at exit does not fail again

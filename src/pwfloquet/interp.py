@@ -136,10 +136,6 @@ class NodalFunction:
             raise ValueError("value count must equal the node count of the side")
         object.__setattr__(self, "values", v)
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 def _locate(side: GridSide, t: np.ndarray):
     """Piece index (see ``GridSide.piece_of``), reference coordinate and

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interp import bary_table, prolong_pairs
+from .interp import bary_table, gauss_rule, prolong_pairs
 from .mesh import UNIFORM, GridSide, Mesh, build_forward_grid, mesh_ratio, reference_nodes
 
 __all__ = [
@@ -163,7 +163,6 @@ class ExactSolution:
     fn: Callable
     omega: float
     d: int = 1
-    derivative: Callable | None = None
 
     def __call__(self, t):
         return np.asarray(self.fn(t), dtype=float)
@@ -238,29 +237,29 @@ class PiecewiseSolution:
         dv = np.einsum("kj,ijd->ikd", table.diff, self.values) / h[:, None, None]
         return PiecewiseSolution(self.breakpoints, dv, self.node_kind)
 
-    def validate(self, rtol: float = 1e-10) -> None:
-        """Check continuity across breakpoints and periodicity."""
-        scale = max(1.0, float(np.abs(self.values).max()))
+    def validate(self) -> None:
+        """Check continuity across breakpoints and periodicity, to 1e-10
+        relative to the largest value (or absolute below 1)."""
+        scale = 1e-10 * max(1.0, float(np.abs(self.values).max()))
         left = self.values[:-1, -1, :]
         right = self.values[1:, 0, :]
-        if np.abs(left - right).max() > rtol * scale:
+        if np.abs(left - right).max() > scale:
             raise ValueError("solution is discontinuous across a breakpoint")
-        if np.abs(self.values[0, 0] - self.values[-1, -1]).max() > rtol * scale:
+        if np.abs(self.values[0, 0] - self.values[-1, -1]).max() > scale:
             raise ValueError("solution is not periodic")
 
 
-def sample_solution(fn, omega: float, mesh: Mesh, degree: int,
-                    node_kind: str = UNIFORM) -> PiecewiseSolution:
+def sample_solution(fn, omega: float, mesh: Mesh, degree: int) -> PiecewiseSolution:
     """Sample an elementwise callable, called once with all ``n`` nodes and
     returning ``(n,)`` or ``(n, d)``, onto a piecewise polynomial over ``[0,
     omega]``. ``mesh`` may span [0, 1] (then scaled by ``omega``) or [0, omega].
     """
     if abs(mesh.breakpoints[-1] - 1.0) < 1e-12 and omega != 1.0:
         mesh = mesh.scaled(omega)
-    side = build_forward_grid(mesh, reference_nodes(node_kind, degree))
+    side = build_forward_grid(mesh, reference_nodes(UNIFORM, degree))
     vals = nodal_values(fn, side.nodes)
     pieces = np.arange(side.P)[:, None] * degree + np.arange(degree + 1)
-    return PiecewiseSolution(side.breakpoints, vals[pieces], node_kind)
+    return PiecewiseSolution(side.breakpoints, vals[pieces])
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,13 +425,11 @@ def plant_v0(a: float, b: float) -> float:
 
 
 def _gauss_panels(a: float, b: float, panels: int, n: int):
-    gx, gw = np.polynomial.legendre.leggauss(n)
+    """Composite ``n``-point Gauss-Legendre rule on ``panels`` equal panels of [a, b]."""
+    gx, gw = gauss_rule(n)
     edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return x, w
+    h = np.diff(edges)[:, None]
+    return (edges[:-1, None] + h * gx).ravel(), (h * gw).ravel()
 
 
 def _logistic(r: float = 1.6) -> Builtin:
@@ -509,10 +506,6 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
         t = np.asarray(t, dtype=float)
         return (mean + amp * np.sin(0.5 * np.pi * t))[..., None]
 
-    def xbar_prime(t):
-        t = np.asarray(t, dtype=float)
-        return (0.5 * np.pi * amp * np.cos(0.5 * np.pi * t))[..., None]
-
     qx, qw = _gauss_panels(-3.0, -1.0, 16, 10)
 
     def rhs(u):
@@ -530,7 +523,7 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
         name="quadratic-re", d_x=1, d_y=0, tau=tau,
         rhs=rhs, linearize_terms=lin_terms, params={"gamma": gamma},
     )
-    exact = ExactSolution(fn=xbar, omega=4.0, d=1, derivative=xbar_prime)
+    exact = ExactSolution(fn=xbar, omega=4.0, d=1)
     profile = lambda s: xbar(4.0 * np.asarray(s))
     return Builtin(
         name="quadratic-re", params={"gamma": gamma}, problem=problem, exact=exact,

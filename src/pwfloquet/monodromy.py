@@ -465,8 +465,6 @@ class _CausalSystem:
             return self.solve([(slice(None), v[rows]) for rows, *_ in self.pieces])[:n]
 
         y = solve(np.full(n, 1.0 / n))
-        if n == 1:
-            return float(abs(y[0]))
         est = np.abs(y).sum()
         sign = np.where(y >= 0.0, 1.0, -1.0)
         z = self.solve_t(sign)

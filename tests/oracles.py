@@ -204,6 +204,9 @@ def loop_history_grid(mesh, family, tau):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     ctol = COINCIDENCE_RTOL * max(1.0, omega)
+    # build_history_grid's documented refusal: over 10^6 windows are never walked
+    if not max(np.ceil((tau - ctol) / omega), 0.0) + 1 <= 1_000_000:  # nan included
+        raise RuntimeError(f"tau / omega = {tau / omega} needs over 10^6 history windows")
     stol = SLIVER_RTOL * omega
     pieces = []  # collected right to left
     k = 1

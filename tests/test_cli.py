@@ -193,6 +193,13 @@ class TestConverge:
         assert code == 0
         assert "pinned value" in out.read_text()
 
+    def test_one_value_sweep_has_no_fitted_order(self, capsys):
+        code = run(["converge", "--problem", "tent", "--vary", "M", "--values", "8",
+                    "--fixed", "2", "--mesh", "uniform:2",
+                    "--reference", "value:2.012469582152758", "--track", "dominant"])
+        assert code == 0
+        assert "# fitted_order_dominant=nan\n" in capsys.readouterr().out
+
     def test_missing_reference_spec_error(self):
         code = run(["converge", "--problem", "tent", "--vary", "M",
                     "--values", "4", "--fixed", "1", "--mesh", "uniform:1",
@@ -317,6 +324,33 @@ class TestExitCodes:
             argv += ["--config", str(path)]
         assert run(argv + flags) == 3
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["multipliers", "--problem", "tent", "--mesh", "foo"], "unknown mesh source 'foo'"),
+        (["solve", "--problem", "tent"], "is linear; nothing to solve"),
+        (["multipliers", "-M", "4"], "no problem selected"),
+        (["solve", "--problem", "logistic", "-m", "0"], "degree must be >= 1"),
+    ], ids=["mesh-source", "solve-linear", "no-problem", "solver-degree"])
+    def test_bad_run_is_config_error(self, tmp_path, capsys, argv, message):
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["format 2\n" if l == "format 1\n" else l for l in lines],
+         "unsupported solution file format"),
+        (lambda lines: [l for l in lines if l != "values\n"], "missing values section"),
+        (lambda lines: [l.replace("omega 50.7", "omega 51.7") for l in lines],
+         "omega does not match the breakpoints"),
+    ], ids=["format", "values-line", "omega"])
+    def test_inconsistent_solution_file_is_config_error(self, tmp_path, capsys, edit,
+                                                        message):
+        lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
+        path = tmp_path / "bad.sol"
+        path.write_text("".join(edit(lines)))
+        assert run(["multipliers", "--problem", "plant", "--mesh", "solution", "-M", "4",
+                    "--solution-file", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_malformed_mesh_file_is_config_error(self, malformed_mesh):
         assert run(["multipliers", "--problem", "tent", "--mesh",

@@ -4,7 +4,7 @@ agree bit for bit, at the coincidence and sliver tolerances included."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from pwfloquet.mesh import (CHEBYSHEV, UNIFORM, Mesh, build_forward_grid,
@@ -58,6 +58,7 @@ def test_random_delays(mesh, family, ratio):
 @given(mesh=meshes(), family=st.sampled_from(FAMILIES), k=st.integers(1, 20),
        i=st.integers(0, 11), sign=st.sampled_from([-1.0, 1.0]),
        offset=st.sampled_from([0.0, 1e-16, 1e-13, 1e-12, 2e-12, 1e-9]))
+@example(mesh=Mesh([0.0, 1e-16]), family=FAMILIES[0], k=1, i=0, sign=1.0, offset=1e-9)
 def test_delay_at_a_shifted_breakpoint(mesh, family, k, i, sign, offset):
     # -tau on or next to a breakpoint, inside and outside COINCIDENCE_RTOL
     b = mesh.breakpoints
@@ -103,7 +104,6 @@ def test_refine_mesh(mesh, ratio):
 
 @pytest.mark.parametrize("tau", [2e6, np.inf, np.nan])
 def test_more_than_a_million_windows_is_refused_up_front(tau):
-    # the loop builder walks 10^6 windows before it gives up; the array
-    # builder must refuse before it allocates them
+    # build_history_grid must refuse before it allocates the windows
     with pytest.raises(RuntimeError, match="10\\^6"):
         build_history_grid(Mesh([0.0, 1.0]), FAMILIES[0], tau)

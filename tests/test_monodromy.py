@@ -195,7 +195,10 @@ class TestEigenfunction:
         ms = multipliers(disc)
         assert ms.trivial_index == 0
         ef = eigenfunction(disc, 0).values[:, 0]
-        ref = restrict(lambda th: b.exact.derivative(th), disc.grid.history).values[:, 0]
+        # x(t + 1) - x(t - 1) = 2 A cos(pi t / 2): the derivative of the
+        # period-4 sinusoid up to a constant factor
+        ref = restrict(lambda th: b.exact(th + 1.0) - b.exact(th - 1.0),
+                       disc.grid.history).values[:, 0]
         cos = abs(np.vdot(ef, ref)) / (np.linalg.norm(ef) * np.linalg.norm(ref))
         assert cos > 0.999
 
@@ -281,6 +284,15 @@ class TestErrors:
         eq = scalar_dde([(0.0, 2.0 / 0.6)], omega=1.0, tau=1.0)
         with pytest.raises(CoarseDiscretizationError, match=r"piece 2 on \[0\.4, 1\]"):
             assemble(eq, Mesh([0.0, 0.2, 0.4, 1.0]), chebyshev_family(1))
+
+    def test_exactly_singular_piece_is_named(self):
+        # x(t) = x(t): every diagonal block is exactly I - I = 0, so the
+        # first piece's inverse fails before any condition estimate
+        eq = LinearPeriodicEquation(d_x=1, d_y=0, omega=1.0, tau=1.0,
+                                    discrete=(DiscreteTerm("x", "x", 0.0, [[1.0]]),))
+        with pytest.raises(CoarseDiscretizationError,
+                           match=r"singular on forward piece 0 on \[0, 0\.5\]"):
+            assemble(eq, Mesh([0.0, 0.5, 1.0]), chebyshev_family(4))
 
     def test_mesh_span_mismatch(self):
         eq = scalar_dde([(0.0, 1.0)], omega=1.0, tau=1.0)
