@@ -3,9 +3,10 @@
 Subcommands: ``solve`` (periodic solutions), ``multipliers`` (Floquet
 multipliers of a linearized problem), ``converge`` (discretization sweeps
 with fitted convergence orders), ``mesh-info``. Options come from an INI
-config file plus flag overrides; outputs are CSV files with ``#``-prefixed
-header metadata. Exit codes: 0 success, 2 convergence failure, 3
-configuration error.
+config file, whose keys are parsed as the flags they stand for, plus flag
+overrides; every option and spec is parsed before any orbit is computed.
+Outputs are CSV files with ``#``-prefixed header metadata. Exit codes: 0
+success, 2 convergence failure, 3 configuration error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -20,14 +22,8 @@ import numpy as np
 
 from . import bvp as bvp_mod
 from . import model, monodromy
-from .mesh import (
-    Mesh,
-    chebyshev_family,
-    mesh_ratio,
-    read_mesh,
-    refine_mesh,
-    write_mesh,
-)
+from .mesh import (UNIFORM, Mesh, chebyshev_family, mesh_ratio, read_mesh, reference_nodes,
+                   refine_mesh, write_mesh)
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -72,19 +68,14 @@ class RunConfig:
 
 
 _PARAM_NAMES = ("r", "gamma", "a", "b", "eta", "tau")
-# the allowed values of RunConfig fields, for their flags and INI keys alike
-_CHOICES = {"colloc": (bvp_mod.GAUSS_LEGENDRE, bvp_mod.CHEBYSHEV_ZEROS),
-            "phase": ("integral", "fixed"), "enforce": monodromy.ENFORCE_CHOICES}
-# INI sections and their keys (configparser lowercases keys): the RunConfig
-# field each sets and its type; problem parameters go to RunConfig.params
-_INI_KEYS = {
-    "problem": {"name": ("problem", str), **{p: (None, float) for p in _PARAM_NAMES}},
-    "bvp": {"l": ("bvp_L", int), "m": ("bvp_m", int), "tol": ("bvp_tol", float),
-            "max_iters": ("bvp_max_iters", int), "family": ("colloc", str),
-            "phase": ("phase", str)},
-    "monodromy": {"mesh": ("mesh_source", str), "m": ("M", int),
-                  "enforce": ("enforce", str)},
-    "output": {"path": ("output", str)},
+# INI sections and their keys (configparser lowercases keys), each the flag it
+# stands for: a file is parsed as those flags, with their types and choices
+_INI_FLAGS = {
+    "problem": {"name": "--problem", **{p: f"--{p}" for p in _PARAM_NAMES}},
+    "bvp": {"l": "-L", "m": "-m", "tol": "--tol", "max_iters": "--max-iters",
+            "family": "--family", "phase": "--phase"},
+    "monodromy": {"mesh": "--mesh", "m": "-M", "enforce": "--enforce"},
+    "output": {"path": "-o"},
 }
 
 
@@ -97,26 +88,23 @@ def _load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     if ini.defaults():
         raise ConfigError(f"config file {path!r}: unknown section [{ini.default_section}]")
+    # the multipliers subcommand carries every flag; the flag=value form keeps
+    # a short flag or a negative value in one token
+    tokens = ["multipliers"]
     for name in ini.sections():
-        keys = _INI_KEYS.get(name)
-        if keys is None:
+        flags = _INI_FLAGS.get(name)
+        if flags is None:
             raise ConfigError(f"config file {path!r}: unknown section [{name}]")
-        sec = ini[name]
-        for key in sec:
-            if key not in keys:
+        for key, value in ini[name].items():
+            if key not in flags:
                 raise ConfigError(f"config file {path!r}: unknown key {key!r} "
                                   f"in section [{name}]")
-        for key, (attr, kind) in keys.items():
-            if key not in sec:
-                continue
-            if attr is None:
-                cfg.params[key] = kind(sec[key])
-                continue
-            if attr in _CHOICES and sec[key] not in _CHOICES[attr]:
-                raise ConfigError(f"config file {path!r}: [{name}] {key} = {sec[key]!r} "
-                                  f"is not one of {_CHOICES[attr]}")
-            setattr(cfg, attr, kind(sec[key]))
-    return cfg
+            tokens.append(f"{flags[key]}={value}")
+    try:
+        args = _build_parser().parse_args(tokens)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
+    return _apply_overrides(cfg, args)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -156,6 +144,7 @@ def _solve(cfg: RunConfig, built: model.Builtin) -> bvp_mod.BvpResult:
         built = model.builtin("plant", **cfg.params)
     # before the guess, whose orbit integration can take seconds
     bvp_mod.check_newton_settings(cfg.bvp_tol, cfg.bvp_max_iters)
+    reference_nodes(UNIFORM, cfg.bvp_m)  # refuses a degree below 1
     mesh01 = _bvp_mesh(cfg)
     if cfg.guess_file:
         guess = model.read_solution(cfg.guess_file)
@@ -165,11 +154,9 @@ def _solve(cfg: RunConfig, built: model.Builtin) -> bvp_mod.BvpResult:
     else:
         raise ConfigError(f"problem {built.name!r} has no initial-guess heuristic; "
                           "supply --guess-file")
-    problem = bvp_mod.BvpProblem(
-        problem=built.problem, mesh=mesh01, degree=cfg.bvp_m,
-        period_guess=period, guess_profile=profile,
-        colloc_kind=cfg.colloc, phase=cfg.phase,
-    )
+    problem = bvp_mod.BvpProblem(problem=built.problem, mesh=mesh01, degree=cfg.bvp_m,
+                                 period_guess=period, guess_profile=profile,
+                                 colloc_kind=cfg.colloc, phase=cfg.phase)
     return bvp_mod.solve_periodic(problem, tol=cfg.bvp_tol, max_iters=cfg.bvp_max_iters)
 
 
@@ -179,66 +166,90 @@ def _exact(built: model.Builtin) -> model.ExactSolution:
     return built.exact
 
 
-def _solution_for(cfg: RunConfig, built: model.Builtin):
-    """Solution to linearize around: file, closed form, or a fresh solve."""
-    if cfg.solution_file:
-        return model.read_solution(cfg.solution_file)
-    if cfg.exact:
-        return _exact(built)
-    return _solve(cfg, built).solution
-
-
 def _linear_equation(cfg: RunConfig, built: model.Builtin):
+    """The equation to take multipliers of, and the solution it linearizes."""
     if built.linear is not None:
         return built.linear, None
-    solution = _solution_for(cfg, built)
+    if cfg.solution_file:
+        solution = model.read_solution(cfg.solution_file)
+    elif cfg.exact:
+        solution = _exact(built)
+    else:
+        solution = _solve(cfg, built).solution
     if built.name == "plant-coupled":
         # a plant orbit (v, w), reordered into the coupled layout (w, v)
         solution = model.coupled_view_of_plant(solution)
     return model.linearize(built.problem, solution), solution
 
 
-def _monodromy_mesh(cfg: RunConfig, eq, solution) -> Mesh:
-    src = cfg.mesh_source
-    if src == "solution":
-        if not isinstance(solution, model.PiecewiseSolution):
-            raise ConfigError("mesh source 'solution' needs a piecewise solution "
-                              "(use uniform:<L>, refined:<hmax> or file:<path>)")
+def _mesh_source(spec: str) -> tuple[str, object]:
+    """``(kind, value)`` of a mesh source: ``solution``, ``uniform:<L>``,
+    ``refined:<hmax>``, ``refined:auto`` (value None) or ``file:<path>``."""
+    kind, colon, value = spec.partition(":")
+    try:
+        if spec == "solution" or colon and kind == "file":
+            return kind, value
+        if colon and kind == "refined":
+            return kind, None if value in ("", "auto") else float(value)
+        if kind == "uniform":
+            return kind, int(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"unknown mesh source {spec!r}")
+
+
+def _monodromy_mesh(source: tuple[str, object], eq, solution) -> Mesh:
+    kind, value = source
+    if kind == "uniform":
+        return Mesh(np.linspace(0.0, eq.omega, value + 1))
+    if kind == "file":
+        return read_mesh(value).over_period(eq.omega)
+    if not isinstance(solution, model.PiecewiseSolution):
+        raise ConfigError(f"mesh source {kind!r} needs a piecewise solution "
+                          "(use uniform:<L> or file:<path>)")
+    if kind == "solution":
         return solution.mesh
-    if src.startswith("uniform:"):
-        L = int(src.split(":", 1)[1])
-        return Mesh(np.linspace(0.0, eq.omega, L + 1))
-    if src.startswith("refined:"):
-        if not isinstance(solution, model.PiecewiseSolution):
-            raise ConfigError("mesh source 'refined' needs a piecewise solution")
-        spec = src.split(":", 1)[1]
-        # default cap: a fifth of the longest solution-mesh piece
-        hmax = (solution.mesh.widths.max() / 5.0 if spec in ("", "auto")
-                else float(spec))
-        return refine_mesh(solution.mesh, hmax)
-    if src.startswith("file:"):
-        mesh = read_mesh(src.split(":", 1)[1])
-        if abs(mesh.breakpoints[-1] - 1.0) < 1e-12 and eq.omega != 1.0:
-            mesh = mesh.scaled(eq.omega)
-        return mesh
-    raise ConfigError(f"unknown mesh source {src!r}")
+    # default cap: a fifth of the longest solution-mesh piece
+    return refine_mesh(solution.mesh, solution.mesh.widths.max() / 5.0 if value is None
+                       else value)
 
 
-def _write_multiplier_csv(path, cfg: RunConfig, ms, extra_header=()):
-    lines = ["# pwfloquet multipliers", f"# config_hash={cfg.hash()}"]
-    lines += [f"# {h}" for h in extra_header]
-    lines.append(f"# verdict={ms.verdict}")
-    lines.append("re,im,modulus,is_trivial,flag")
-    for i, mu in enumerate(ms.values):
-        flag = "spurious" if ms.spurious[i] else ""
-        lines.append("%.16e,%.16e,%.16e,%d,%s" % (
-            mu.real, mu.imag, abs(mu), 1 if i == ms.trivial_index else 0, flag,
-        ))
+def _reference_spec(spec: str) -> tuple[str, object]:
+    """The reference of a sweep: ``("value", mu)`` or ``("self", (L, M))``."""
+    kind, _, value = spec.partition(":")
+    try:
+        if kind == "value" and value.count(",") <= 1:
+            return kind, complex(*map(float, value.split(",")))
+        if kind == "self" and value.count(",") == 1:
+            return kind, tuple(map(int, value.split(",")))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"unknown reference spec {spec!r} "
+                                     "(expected self:<L>,<M> or value:<re>[,<im>])")
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+def _track(text: str) -> list[str]:
+    columns = [c.strip() for c in text.split(",") if c.strip()]
+    if not columns or not set(columns) <= {"trivial", "dominant"}:
+        raise argparse.ArgumentTypeError(f"{text!r}: expected trivial, dominant or both")
+    return columns
+
+
+def _write_csv(path: str | None, lines: list[str], shown: list[str]) -> None:
+    """Write the CSV ``lines`` to ``path`` and print ``shown``, or print them all."""
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return text
+        text = "".join(line + "\n" for line in shown)
+    sys.stdout.write(text)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -253,27 +264,30 @@ def cmd_solve(cfg: RunConfig) -> int:
         report = f"iterations={result.iterations} residual={result.residual_norm:.3e}"
     out = cfg.output or f"{built.name}.sol"
     model.write_solution(sol, out)
-    print(f"solve {built.name}: omega={omega!r} rho={sol.mesh_ratio:.6g} {report} -> {out}")
+    print(f"solve {built.name}: omega={omega!r} rho={mesh_ratio(sol.mesh):.6g} {report} "
+          f"-> {out}")
     return EXIT_OK
 
 
-def cmd_multipliers(cfg: RunConfig, save_mesh: str | None = None) -> int:
+def cmd_multipliers(cfg: RunConfig, source, save_mesh: str | None) -> int:
+    family = chebyshev_family(cfg.M)  # refuses a degree below 1
     built = _get_builtin(cfg)
     eq, solution = _linear_equation(cfg, built)
-    mesh = _monodromy_mesh(cfg, eq, solution)
-    disc = monodromy.assemble(eq, mesh, chebyshev_family(cfg.M), enforce=cfg.enforce)
+    disc = monodromy.assemble(eq, _monodromy_mesh(source, eq, solution), family,
+                              enforce=cfg.enforce)
     if save_mesh:
         write_mesh(disc.grid.mesh, save_mesh,
                    header=f"collocation mesh, problem={built.name} "
                           f"source={cfg.mesh_source}")
     ms = monodromy.multipliers(disc)
-    header = [
-        f"problem={built.name} params={sorted(built.params.items())}",
-        f"mesh_source={cfg.mesh_source} L={disc.grid.mesh.L} M={cfg.M}",
-    ]
-    text = _write_multiplier_csv(cfg.output, cfg, ms, header)
-    if not cfg.output:
-        sys.stdout.write(text)
+    lines = ["# pwfloquet multipliers", f"# config_hash={cfg.hash()}",
+             f"# problem={built.name} params={sorted(built.params.items())}",
+             f"# mesh_source={cfg.mesh_source} L={disc.grid.mesh.L} M={cfg.M}",
+             f"# verdict={ms.verdict}", "re,im,modulus,is_trivial,flag"]
+    lines += ["%.16e,%.16e,%.16e,%d,%s" % (mu.real, mu.imag, abs(mu), i == ms.trivial_index,
+                                           "spurious" if ms.spurious[i] else "")
+              for i, mu in enumerate(ms.values)]
+    _write_csv(cfg.output, lines, shown=[])
     triv = ms.trivial()
     triv_msg = f"|trivial-1|={abs(triv - 1.0):.3e}" if triv is not None else "trivial=absent"
     print(f"multipliers {built.name}: dominant={ms.dominant():.10g} "
@@ -296,79 +310,55 @@ def _fit_order(sizes, errors) -> float:
     return float(-slope)
 
 
-def cmd_converge(cfg: RunConfig, vary: str, values: list[int],
-                 fixed: int, ref_spec: str, track: str) -> int:
-    columns = [c.strip() for c in track.split(",") if c.strip()]
-    if not columns or not set(columns) <= {"trivial", "dominant"}:
-        raise ConfigError(f"unknown --track {track!r}: expected trivial, dominant or both")
+def cmd_converge(cfg: RunConfig, source, args) -> int:
+    vary, values, fixed, columns = args.vary, args.values, args.fixed, args.track
     built = _get_builtin(cfg)
+    # meshes are uniform with L pieces, unless the source gives one mesh: a
+    # file, or the mesh of the orbit (read or solved) or a refinement of it
+    orbit = built.linear is None and bool(cfg.solution_file or not cfg.exact)
+    one_mesh = source[0] in ("refined", "file") or source[0] == "solution" and orbit
+    if one_mesh and vary == "L":
+        raise ConfigError(f"--vary L needs uniform meshes, but mesh source "
+                          f"{cfg.mesh_source!r} gives a single mesh "
+                          "(use --mesh uniform:<L>)")
     eq, solution = _linear_equation(cfg, built)
-    # meshes are uniform with L pieces, unless the source gives one mesh (the
-    # solved orbit's, a refinement of it or a file), on which only M can vary
-    fixed_mesh = None
-    if not cfg.mesh_source.startswith("uniform:") and (
-            cfg.mesh_source != "solution" or isinstance(solution, model.PiecewiseSolution)):
-        if vary == "L":
-            raise ConfigError(f"--vary L needs uniform meshes, but mesh source "
-                              f"{cfg.mesh_source!r} gives a single mesh "
-                              "(use --mesh uniform:<L>)")
-        fixed_mesh = _monodromy_mesh(cfg, eq, solution)
-    one_mesh = None if fixed_mesh is None else f"mesh {cfg.mesh_source} L={fixed_mesh.L}"
+    fixed_mesh = _monodromy_mesh(source, eq, solution) if one_mesh else None
+    where = f"mesh {cfg.mesh_source} L={fixed_mesh.L}" if one_mesh else None
+    sweep = where or f"fixed {'L' if vary == 'M' else 'M'}={fixed}"
 
     def run(L, M):
-        mesh = fixed_mesh
-        if mesh is None:
-            mesh = Mesh(np.linspace(0.0, eq.omega, L + 1))
+        mesh = fixed_mesh if one_mesh else _monodromy_mesh(("uniform", L), eq, solution)
         disc = monodromy.assemble(eq, mesh, chebyshev_family(M), enforce=cfg.enforce)
         return monodromy.multipliers(disc)
 
     # reference for the dominant (nontrivial where present) multiplier
-    if ref_spec.startswith("value:"):
-        parts = [float(x) for x in ref_spec.split(":", 1)[1].split(",")]
-        ref = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-        ref_desc = f"pinned value {ref}"
-    elif ref_spec.startswith("self:"):
-        L_ref, M_ref = (int(x) for x in ref_spec.split(":", 1)[1].split(","))
+    kind, ref = args.reference
+    if kind == "self":
+        L_ref, M_ref = ref
         ref = _reference_multiplier(run(L_ref, M_ref))
-        ref_desc = f"self-computed {one_mesh or f'L={L_ref}'} M={M_ref} value={ref}"
+        ref_desc = f"self-computed {where or f'L={L_ref}'} M={M_ref} value={ref}"
     else:
-        raise ConfigError(f"unknown reference spec {ref_spec!r} "
-                          "(expected self:<L>,<M> or value:<re>[,<im>])")
+        ref_desc = f"pinned value {ref}"
 
-    rows = []
+    errors = {col: [] for col in columns}
     for v in values:
-        L, M = (fixed, v) if vary == "M" else (v, fixed)
-        ms = run(L, M)
-        row = {"size": v}
-        if "trivial" in columns:
+        ms = run(*((fixed, v) if vary == "M" else (v, fixed)))
+        if "trivial" in errors:
             triv = ms.trivial()
-            row["err_trivial"] = abs(triv - 1.0) if triv is not None else float("nan")
-        if "dominant" in columns:
+            errors["trivial"].append(abs(triv - 1.0) if triv is not None else float("nan"))
+        if "dominant" in errors:
             dom = _reference_multiplier(ms)
-            row["err_dominant"] = min(abs(dom - ref), abs(dom - np.conj(ref)))
-        rows.append(row)
+            errors["dominant"].append(min(abs(dom - ref), abs(dom - np.conj(ref))))
 
-    header = [
-        "# pwfloquet converge",
-        f"# config_hash={cfg.hash()}",
-        f"# problem={built.name} params={sorted(built.params.items())}",
-        f"# sweep: vary {vary}, " + (one_mesh or f"fixed {'L' if vary == 'M' else 'M'}={fixed}"),
-        f"# reference: {ref_desc}",
-    ]
-    for col in columns:
-        key = f"err_{col}"
-        errs = [row.get(key, float("nan")) for row in rows]
-        header.append(f"# fitted_order_{col}={_fit_order(values, errs):.4g}")
-    lines = header + [",".join([vary] + [f"err_{c}" for c in columns])]
-    for row in rows:
-        lines.append(",".join(
-            [str(row["size"])] + ["%.16e" % row[f"err_{c}"] for c in columns]
-        ))
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text if not cfg.output else "\n".join(header) + "\n")
+    header = ["# pwfloquet converge", f"# config_hash={cfg.hash()}",
+              f"# problem={built.name} params={sorted(built.params.items())}",
+              f"# sweep: vary {vary}, {sweep}", f"# reference: {ref_desc}"]
+    header += [f"# fitted_order_{col}={_fit_order(values, errors[col]):.4g}"
+               for col in columns]
+    lines = header + [",".join([vary] + [f"err_{col}" for col in columns])]
+    lines += [",".join([str(v)] + ["%.16e" % errors[col][i] for col in columns])
+              for i, v in enumerate(values)]
+    _write_csv(cfg.output, lines, shown=header)
     return EXIT_OK
 
 
@@ -386,61 +376,46 @@ def _build_parser() -> _Parser:
                      description="Floquet multipliers of periodic delay equations "
                                  "by piecewise collocation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_solve = sub.add_parser("solve", help="compute a periodic solution")
+    p_mult = sub.add_parser("multipliers", help="Floquet multipliers")
+    p_conv = sub.add_parser("converge", help="discretization sweeps")
+    for p in (p_solve, p_mult, p_conv):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--problem", help="builtin problem name")
         for name in _PARAM_NAMES:
             p.add_argument(f"--{name}", type=float, help=f"problem parameter {name}")
         p.add_argument("-o", "--output", help="output file path")
-
-    def add_bvp(p):
         p.add_argument("-L", dest="bvp_L", type=int, help="number of mesh pieces")
         p.add_argument("-m", dest="bvp_m", type=int, help="polynomial degree of the solver")
         p.add_argument("--tol", dest="bvp_tol", type=float, help="Newton residual tolerance")
         p.add_argument("--max-iters", dest="bvp_max_iters", type=int)
-        p.add_argument("--family", dest="colloc", choices=_CHOICES["colloc"],
+        p.add_argument("--family", dest="colloc",
+                       choices=(bvp_mod.GAUSS_LEGENDRE, bvp_mod.CHEBYSHEV_ZEROS),
                        help="collocation node family of the periodic solver")
-        p.add_argument("--phase", choices=_CHOICES["phase"])
+        p.add_argument("--phase", choices=("integral", "fixed"))
         p.add_argument("--mesh-file", dest="mesh_file", help="solver mesh on [0, 1]")
         p.add_argument("--guess-file", dest="guess_file", help="initial guess solution file")
         p.add_argument("--exact", action="store_true", default=None,
                        help="use the closed-form solution where available")
-
-    def add_mono(p):
+    for p in (p_mult, p_conv):
         p.add_argument("-M", type=int, help="collocation degree per piece")
         p.add_argument("--mesh", dest="mesh_source", help="mesh source: solution | "
                        "uniform:<L> | refined:<hmax|auto> | file:<path>")
-        p.add_argument("--enforce", choices=_CHOICES["enforce"],
+        p.add_argument("--enforce", choices=monodromy.ENFORCE_CHOICES,
                        help="smoothness-breakpoint handling")
         p.add_argument("--solution-file", dest="solution_file",
                        help="linearize around this stored solution")
-        p.add_argument("--save-mesh", dest="save_mesh",
-                       help="write the collocation mesh actually used")
-
-    p_solve = sub.add_parser("solve", help="compute a periodic solution")
-    add_common(p_solve)
-    add_bvp(p_solve)
-
-    p_mult = sub.add_parser("multipliers", help="Floquet multipliers")
-    add_common(p_mult)
-    add_bvp(p_mult)
-    add_mono(p_mult)
-
-    p_conv = sub.add_parser("converge", help="discretization sweeps")
-    add_common(p_conv)
-    add_bvp(p_conv)
-    add_mono(p_conv)
+    p_mult.add_argument("--save-mesh", dest="save_mesh",
+                        help="write the collocation mesh actually used")
     p_conv.add_argument("--vary", choices=["M", "L"], required=True)
-    p_conv.add_argument("--values", required=True,
+    p_conv.add_argument("--values", type=_int_list, required=True,
                         help="comma-separated sweep values")
     p_conv.add_argument("--fixed", type=int, required=True,
                         help="the value of the non-varied parameter")
-    p_conv.add_argument("--reference", default=None,
+    p_conv.add_argument("--reference", type=_reference_spec, default="self:2,120",
                         help="self:<L>,<M> or value:<re>[,<im>]")
-    p_conv.add_argument("--track", default="trivial,dominant",
+    p_conv.add_argument("--track", type=_track, default="trivial,dominant",
                         help="columns: trivial,dominant")
-
     p_info = sub.add_parser("mesh-info", help="inspect a mesh file")
     p_info.add_argument("path")
     return parser
@@ -455,17 +430,13 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(_load_config(args.config), args)
         if args.command == "solve":
             return cmd_solve(cfg)
+        source = _mesh_source(cfg.mesh_source)
         if args.command == "multipliers":
-            return cmd_multipliers(cfg, save_mesh=getattr(args, "save_mesh", None))
-        # converge, the last of the required subcommands
-        values = [int(x) for x in args.values.split(",")]
-        ref = args.reference or "self:2,120"
-        return cmd_converge(cfg, args.vary, values, args.fixed, ref, args.track)
+            return cmd_multipliers(cfg, source, args.save_mesh)
+        return cmd_converge(cfg, source, args)  # the last required subcommand
     except BrokenPipeError:
         # the reader stopped early (``| head``); stdout goes to devnull so
         # that its flush at exit does not fail again
-        import os
-
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except OSError:  # not a file descriptor

@@ -92,6 +92,13 @@ class Mesh:
     def scaled(self, factor: float) -> "Mesh":
         return Mesh(self.breakpoints * factor)
 
+    def over_period(self, omega: float) -> "Mesh":
+        """The mesh of [0, omega]: one that ends at 1 is a mesh of [0, 1],
+        scaled by ``omega``; any other is returned as it is."""
+        if abs(self.breakpoints[-1] - 1.0) < 1e-12 and omega != 1.0:
+            return self.scaled(omega)
+        return self
+
     def __repr__(self) -> str:
         return f"Mesh(L={self.L}, span=[{self.breakpoints[0]:g}, {self.breakpoints[-1]:g}])"
 

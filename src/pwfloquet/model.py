@@ -15,7 +15,7 @@ objects are immutable; callbacks must be pure and re-entrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Callable
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .interp import bary_table, gauss_rule, prolong_pairs
-from .mesh import UNIFORM, GridSide, Mesh, build_forward_grid, mesh_ratio, reference_nodes
+from .mesh import UNIFORM, GridSide, Mesh, build_forward_grid, reference_nodes
 
 __all__ = [
     "DiscreteTerm",
@@ -211,10 +211,6 @@ class PiecewiseSolution:
     def mesh(self) -> Mesh:
         return Mesh(self.breakpoints)
 
-    @property
-    def mesh_ratio(self) -> float:
-        return mesh_ratio(self.mesh)
-
     @cached_property
     def _side(self) -> GridSide:
         return build_forward_grid(self.mesh, reference_nodes(self.node_kind, self.degree))
@@ -254,9 +250,7 @@ def sample_solution(fn, omega: float, mesh: Mesh, degree: int) -> PiecewiseSolut
     returning ``(n,)`` or ``(n, d)``, onto a piecewise polynomial over ``[0,
     omega]``. ``mesh`` may span [0, 1] (then scaled by ``omega``) or [0, omega].
     """
-    if abs(mesh.breakpoints[-1] - 1.0) < 1e-12 and omega != 1.0:
-        mesh = mesh.scaled(omega)
-    side = build_forward_grid(mesh, reference_nodes(UNIFORM, degree))
+    side = build_forward_grid(mesh.over_period(omega), reference_nodes(UNIFORM, degree))
     vals = nodal_values(fn, side.nodes)
     pieces = np.arange(side.P)[:, None] * degree + np.arange(degree + 1)
     return PiecewiseSolution(side.breakpoints, vals[pieces])
@@ -284,7 +278,6 @@ class NonlinearProblem(_BlockLayout):
     tau: float
     rhs: Callable | None = None
     linearize_terms: Callable | None = None
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,10 +447,8 @@ def _logistic(r: float = 1.6) -> Builtin:
             (),
         )
 
-    problem = NonlinearProblem(
-        name="logistic", d_x=0, d_y=1, tau=tau,
-        rhs=rhs, linearize_terms=lin_terms, params={"r": r},
-    )
+    problem = NonlinearProblem(name="logistic", d_x=0, d_y=1, tau=tau, rhs=rhs,
+                               linearize_terms=lin_terms)
 
     def make_guess():
         # a plain sinusoid guess can collapse onto the unstable equilibrium,
@@ -519,10 +510,8 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
 
         return ((), (DistributedTerm("x", "x", -3.0, -1.0, kernel),))
 
-    problem = NonlinearProblem(
-        name="quadratic-re", d_x=1, d_y=0, tau=tau,
-        rhs=rhs, linearize_terms=lin_terms, params={"gamma": gamma},
-    )
+    problem = NonlinearProblem(name="quadratic-re", d_x=1, d_y=0, tau=tau, rhs=rhs,
+                               linearize_terms=lin_terms)
     exact = ExactSolution(fn=xbar, omega=4.0, d=1)
     profile = lambda s: xbar(4.0 * np.asarray(s))
     return Builtin(
@@ -566,18 +555,16 @@ def _plant(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
             (),
         )
 
-    problem = NonlinearProblem(
-        name="plant", d_x=0, d_y=2, tau=tau,
-        rhs=rhs, linearize_terms=lin_terms,
-        params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
-    )
+    problem = NonlinearProblem(name="plant", d_x=0, d_y=2, tau=tau, rhs=rhs,
+                               linearize_terms=lin_terms)
 
     def make_guess():
         start = np.array([v0 + 0.5, w0])
         return integrate_orbit_guess(problem, start, t_settle=max(600.0, 12 * tau))
 
     return Builtin(
-        name="plant", params=problem.params, problem=problem, make_guess=make_guess,
+        name="plant", params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
+        problem=problem, make_guess=make_guess,
     )
 
 
@@ -623,12 +610,10 @@ def _plant_coupled(a: float = 0.7, b: float = 0.8, eta: float = -2.0,
             ),
         )
 
-    problem = NonlinearProblem(
-        name="plant-coupled", d_x=1, d_y=1, tau=tau,
-        rhs=rhs, linearize_terms=lin_terms,
-        params={"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0},
-    )
-    return Builtin(name="plant-coupled", params=problem.params, problem=problem)
+    problem = NonlinearProblem(name="plant-coupled", d_x=1, d_y=1, tau=tau, rhs=rhs,
+                               linearize_terms=lin_terms)
+    params = {"a": a, "b": b, "eta": eta, "r": r, "tau": tau, "v0": v0}
+    return Builtin(name="plant-coupled", params=params, problem=problem)
 
 
 def coupled_view_of_plant(solution: PiecewiseSolution) -> PiecewiseSolution:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwfloquet.cli import _apply_overrides, _build_parser, _load_config, main
+from pwfloquet.cli import _INI_FLAGS, _apply_overrides, _build_parser, _load_config, main
 from pwfloquet.model import data_path, read_solution
 
 
@@ -129,6 +129,11 @@ class TestMultipliers:
                     str(data_path("plant_solution.sol"))]) == 3
         assert "pieces, over 10^6" in capsys.readouterr().err
 
+    def test_refined_hmax_zero_is_not_auto(self, capsys):
+        assert run(["multipliers", "--problem", "plant", "-M", "4", "--mesh", "refined:0",
+                    "--solution-file", str(data_path("plant_solution.sol"))]) == 3
+        assert "hmax must be positive" in capsys.readouterr().err
+
     def test_save_mesh_round_trips(self, tmp_path):
         from pwfloquet.mesh import read_mesh
         saved = tmp_path / "used.mesh"
@@ -199,6 +204,20 @@ class TestConverge:
                     "--reference", "value:2.012469582152758", "--track", "dominant"])
         assert code == 0
         assert "# fitted_order_dominant=nan\n" in capsys.readouterr().out
+
+    def test_save_mesh_is_not_a_converge_flag(self, tmp_path, capsys):
+        saved = tmp_path / "out.mesh"
+        assert run(["converge", "--problem", "tent", "--vary", "M", "--values", "4,8",
+                    "--fixed", "1", "--mesh", "uniform:1", "--enforce", "ignore",
+                    "--save-mesh", str(saved)]) == 3
+        assert "unrecognized arguments: --save-mesh" in capsys.readouterr().err
+        assert not saved.exists()
+
+    @pytest.mark.parametrize("spec", ["value:1,2,3", "value:", "self:2", "self:2,x", "self"])
+    def test_malformed_reference_spec_is_named(self, capsys, spec):
+        assert run(["converge", "--problem", "tent", "--vary", "M", "--values", "4",
+                    "--fixed", "1", "--mesh", "uniform:1", "--reference", spec]) == 3
+        assert f"unknown reference spec {spec!r} (expected" in capsys.readouterr().err
 
     def test_missing_reference_spec_error(self):
         code = run(["converge", "--problem", "tent", "--vary", "M",
@@ -275,6 +294,45 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert run(["solve", "--config", "/does/not/exist.ini"]) == 3
+
+    # one case per INI key: the value in the file and the flag it stands for
+    KEYS = [
+        ("problem", "name", "plant", ["--problem", "plant"]),
+        ("problem", "r", "-2", ["--r", "-2"]),
+        ("problem", "gamma", "3.5", ["--gamma", "3.5"]),
+        ("problem", "a", "0.6", ["--a", "0.6"]),
+        ("problem", "b", "0.9", ["--b", "0.9"]),
+        ("problem", "eta", "-1.5", ["--eta", "-1.5"]),
+        ("problem", "tau", "20", ["--tau", "20"]),
+        ("bvp", "L", "12", ["-L", "12"]),
+        ("bvp", "m", "3", ["-m", "3"]),
+        # argparse takes "-1e-3" after a space for a flag, but not after "="
+        ("bvp", "tol", "-1e-3", ["--tol=-1e-3"]),
+        ("bvp", "max_iters", "7", ["--max-iters", "7"]),
+        ("bvp", "family", "chebyshev-zeros", ["--family", "chebyshev-zeros"]),
+        ("bvp", "phase", "fixed", ["--phase", "fixed"]),
+        ("monodromy", "mesh", "uniform:3", ["--mesh", "uniform:3"]),
+        ("monodromy", "M", "7", ["-M", "7"]),
+        ("monodromy", "enforce", "ignore", ["--enforce", "ignore"]),
+        ("output", "path", "out.csv", ["-o", "out.csv"]),
+    ]
+
+    def test_every_ini_key_has_a_case(self):
+        assert ({(section, key.lower()) for section, key, _, _ in self.KEYS}
+                == {(section, key) for section, keys in _INI_FLAGS.items() for key in keys})
+
+    @pytest.mark.parametrize("section, key, value, flags", KEYS,
+                             ids=[f"{s}.{k}" for s, k, _, _ in KEYS])
+    def test_ini_key_sets_what_its_flag_sets(self, tmp_path, section, key, value, flags):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        parser = _build_parser()
+        from_file = _apply_overrides(_load_config(str(ini)),
+                                     parser.parse_args(["multipliers", "--config", str(ini)]))
+        from_flags = _apply_overrides(_load_config(None),
+                                      parser.parse_args(["multipliers"] + flags))
+        assert vars(from_file) == vars(from_flags)
+        assert vars(from_flags) != vars(_load_config(None))
 
     def test_readme_example_runs(self, tmp_path, capsys):
         # the "Config file format" block, inline ``;`` comments included
@@ -455,7 +513,34 @@ class TestExitCodes:
         path = tmp_path / "run.ini"
         path.write_text(ini)
         assert run(["multipliers", "--problem", "plant", "--config", str(path)]) == 3
-        assert "is not one of" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["multipliers", "--mesh", "foo"], "unknown mesh source 'foo'"),
+        (["multipliers", "--mesh", "uniform:abc"], "unknown mesh source 'uniform:abc'"),
+        (["multipliers", "--mesh", "refined:abc"], "unknown mesh source 'refined:abc'"),
+        (["multipliers", "--mesh", "refined"], "unknown mesh source 'refined'"),
+        (["multipliers", "-M", "0"], "degree must be >= 1"),
+        (["multipliers", "-m", "0"], "degree must be >= 1"),
+        (["solve", "-m", "0"], "degree must be >= 1"),
+        (["converge", "--vary", "M", "--values", "3,4", "--fixed", "1",
+          "--reference", "foo"], "unknown reference spec 'foo'"),
+        (["converge", "--vary", "M", "--values", "3,4", "--fixed", "1",
+          "--reference", "self:2"], "unknown reference spec 'self:2'"),
+        (["converge", "--vary", "L", "--values", "5,10", "--fixed", "4"],
+         "--vary L needs uniform meshes"),
+    ], ids=["mesh-foo", "mesh-uniform-abc", "mesh-refined-abc", "mesh-refined", "M-0", "m-0",
+            "solve-m-0", "reference-foo", "reference-self-2", "vary-L-on-the-solution-mesh"])
+    def test_bad_spec_fails_before_the_orbit_guess(self, monkeypatch, capsys, argv, message):
+        # every option and spec is parsed before plant's orbit guess integrates
+        from pwfloquet import model
+
+        calls = []
+        monkeypatch.setattr(model, "integrate_orbit_guess",
+                            lambda *args, **kwargs: calls.append(args))
+        assert run(argv[:1] + ["--problem", "plant"] + argv[1:]) == 3
+        assert message in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("track", ["foo", "trivial,foo", ","])
