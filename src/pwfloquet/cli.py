@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -35,6 +36,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (-2, -1.5) misses the exponent form: --eta -1e-1
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -191,11 +197,12 @@ def _mesh_source(spec: str) -> tuple[str, object]:
             return kind, value
         if colon and kind == "refined":
             return kind, None if value in ("", "auto") else float(value)
-        if kind == "uniform":
+        if kind == "uniform" and int(value) >= 1:
             return kind, int(value)
     except ValueError:
         pass
-    raise ConfigError(f"unknown mesh source {spec!r}")
+    raise ConfigError(f"unknown mesh source {spec!r} (expected solution, uniform:<L> with "
+                      "L >= 1, refined:<hmax|auto> or file:<path>)")
 
 
 def _monodromy_mesh(source: tuple[str, object], eq, solution) -> Mesh:
@@ -221,18 +228,21 @@ def _reference_spec(spec: str) -> tuple[str, object]:
         if kind == "value" and value.count(",") <= 1:
             return kind, complex(*map(float, value.split(",")))
         if kind == "self" and value.count(",") == 1:
-            return kind, tuple(map(int, value.split(",")))
+            return kind, tuple(map(_count, value.split(",")))
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise argparse.ArgumentTypeError(f"unknown reference spec {spec!r} (expected "
+                                     "self:<L>,<M> with L, M >= 1 or value:<re>[,<im>])")
+
+
+def _count(text: str) -> int:
+    """A number of mesh pieces or a sweep's degree: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"unknown reference spec {spec!r} "
-                                     "(expected self:<L>,<M> or value:<re>[,<im>])")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
 
 
 def _track(text: str) -> list[str]:
@@ -385,7 +395,7 @@ def _build_parser() -> _Parser:
         for name in _PARAM_NAMES:
             p.add_argument(f"--{name}", type=float, help=f"problem parameter {name}")
         p.add_argument("-o", "--output", help="output file path")
-        p.add_argument("-L", dest="bvp_L", type=int, help="number of mesh pieces")
+        p.add_argument("-L", dest="bvp_L", type=_count, help="number of mesh pieces")
         p.add_argument("-m", dest="bvp_m", type=int, help="polynomial degree of the solver")
         p.add_argument("--tol", dest="bvp_tol", type=float, help="Newton residual tolerance")
         p.add_argument("--max-iters", dest="bvp_max_iters", type=int)
@@ -408,9 +418,9 @@ def _build_parser() -> _Parser:
     p_mult.add_argument("--save-mesh", dest="save_mesh",
                         help="write the collocation mesh actually used")
     p_conv.add_argument("--vary", choices=["M", "L"], required=True)
-    p_conv.add_argument("--values", type=_int_list, required=True,
-                        help="comma-separated sweep values")
-    p_conv.add_argument("--fixed", type=int, required=True,
+    p_conv.add_argument("--values", type=lambda text: [*map(_count, text.split(","))],
+                        required=True, help="comma-separated sweep values")
+    p_conv.add_argument("--fixed", type=_count, required=True,
                         help="the value of the non-varied parameter")
     p_conv.add_argument("--reference", type=_reference_spec, default="self:2,120",
                         help="self:<L>,<M> or value:<re>[,<im>]")

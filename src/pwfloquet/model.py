@@ -48,7 +48,7 @@ __all__ = [
 # integrate_orbit_guess averages the period over this many last oscillations
 PERIODS_BACK = 3
 # RK4 step of integrate_orbit_guess; the guess only has to seed Newton
-ORBIT_STEP = 0.05
+ORBIT_STEP = 0.1
 # integrate_orbit_guess fails when the range of component 0 over the second
 # half of its tail is below this fraction of the range over the first half
 DECAY_RATIO = 0.5
@@ -649,17 +649,16 @@ def builtin(name: str, **params) -> Builtin:
 class _StepHistory:
     """History evaluator ``u`` handed to ``rhs`` by ``integrate_orbit_guess``.
 
-    One object serves the whole integration. ``ts`` holds every history and
-    step time up front, ``ys`` the values accepted so far; the stepper sets
-    ``i`` (the step), ``stage`` (0 to 3) and ``y`` (the stage value) before
-    each ``rhs`` call. ``memo`` maps each ``theta`` to the first step of its
-    block and the block's stage values; a ``theta`` in it or in ``last``, the
-    previous memo, recurs.
+    One object serves the whole integration. ``ts`` holds every step time up
+    front, ``ys`` the values accepted so far and ``fs`` their slopes; the
+    stepper sets ``i`` (the step), ``stage`` (0 to 3) and ``y`` (the stage
+    value) before each ``rhs`` call. ``memo`` maps each ``theta`` to the first
+    step of its block and the block's stage values; a ``theta`` in it or in
+    ``last``, the previous memo, recurs.
     """
 
-    def __init__(self, ts, ys, nhist, step, block):
-        self.ts, self.ys, self.nhist, self.step, self.block = ts, ys, nhist, step, block
-        self.starts = ts[nhist - 1:-1]
+    def __init__(self, ts, ys, fs, step, block):
+        self.ts, self.ys, self.fs, self.step, self.block = ts, ys, fs, step, block
         self.offsets = np.array([0.0, step / 2, step / 2, step])
         self.memo, self.last = {}, {}
 
@@ -687,31 +686,42 @@ class _StepHistory:
         # theta's values at every stage of its block from step i, one step at
         # first sight; longer, they stay a step before the accepted history ends
         size = max(1, np.floor(-np.max(theta) / self.step) - 1) if recurs else 1
-        t_now = self.starts[self.i:int(min(self.i + size, self.end)), None] + self.offsets
-        rows = self.interp(np.add.outer(t_now.ravel(), theta), self.nhist + self.i)
+        t_now = self.ts[self.i:int(min(self.i + size, self.end)), None] + self.offsets
+        rows = self.interp(np.add.outer(t_now.ravel(), theta), self.i + 1)
         rows.flags.writeable = False
         return rows
 
     def interp(self, t_abs, n):
-        """Linear interpolation of the first ``n`` history and step values at
-        ``t_abs``, column by column: shape ``t_abs.shape + (d,)``."""
-        out = np.empty(np.shape(t_abs) + (self.ys.shape[1],))
-        for c in range(out.shape[-1]):
-            out[..., c] = np.interp(t_abs, self.ts[:n], self.ys[:n, c])
-        return out
+        """Cubic Hermite interpolation of the first ``n`` accepted values and
+        their slopes at ``t_abs``, holding the first value before them and the
+        last beyond them: shape ``t_abs.shape + (d,)``."""
+        j = np.clip(np.searchsorted(self.ts, t_abs, "right") - 1, 0, max(n - 2, 0))
+        s = np.clip((t_abs - self.ts[j]) / self.step, 0.0, 1.0)[..., None]
+        y0, dy = self.ys[j], self.ys[j + 1] - self.ys[j]
+        hf0, hf1 = self.step * self.fs[j], self.step * self.fs[j + 1]
+        return y0 + s * (hf0 + s * (3 * dy - 2 * hf0 - hf1 + s * (hf0 + hf1 - 2 * dy)))
 
 
 def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
                           t_settle: float):
     """Integrate a DDE to its attractor and cut out one period.
 
-    Fixed-step RK4 (step ``ORBIT_STEP``) with linearly interpolated dense
-    history. The period is estimated from the last ``PERIODS_BACK + 1``
-    upward crossings of component 0 through its late-time average. Returns
-    ``(profile over [0, 1], period estimate)``. Raises ``RuntimeError`` when
-    the tail holds too few crossings or the oscillation decays: the range of
-    component 0 over the second half of the tail is below ``DECAY_RATIO``
-    times its range over the first half, as below a Hopf point.
+    Fixed-step RK4 (step ``ORBIT_STEP``) with cubic Hermite dense history,
+    from the constant history ``y0``. The period is estimated from the last
+    ``PERIODS_BACK + 1`` upward crossings of component 0 through its
+    late-time average. Returns ``(profile over [0, 1], period estimate)``.
+    Raises ``RuntimeError`` when the tail holds too few crossings or the
+    oscillation decays: the range of component 0 over the second half of the
+    tail is below ``DECAY_RATIO`` times its range over the first half, as
+    below a Hopf point.
+
+    The slope at an accepted time is the ``k1`` of the step from it, stored
+    when that step ends; until then the newest time borrows the slope of the
+    one before, and the constant history has slope 0. The history holds the
+    last accepted value beyond it, so a ``theta`` in ``(-step, 0)`` or an
+    array of thetas containing 0 is answered from the accepted steps, not
+    from the current stage; only a scalar ``theta == 0`` returns the stage
+    value.
 
     The history is evaluated by the method of steps. The memo starts anew
     every ``max(1, floor(tau / step) - 1)`` steps (``step = ORBIT_STEP``). A
@@ -719,13 +729,9 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     four stage times of one step; one read again, for a block of ``max(1,
     floor(-max(theta) / step) - 1)`` steps, cut where the memo starts anew.
     Such a block is one step long or keeps its times plus ``theta`` a step
-    before the accepted history ends, so each value is that of a per-call
-    linear interpolation of the accepted steps, bit for bit.
-
-    Only a scalar ``theta == 0`` returns the current stage value. The history
-    holds accepted steps only and holds the last one's value beyond it, so
-    a ``theta`` in ``(-step, 0)`` or an array of thetas containing 0 is
-    answered from the accepted steps, not from the current stage.
+    before the accepted history ends, where every slope is final, so each
+    value is that of a per-call interpolation of the accepted steps, bit for
+    bit.
     """
     if problem.kind != "dde":
         raise ValueError("orbit integration guess only supports differential problems")
@@ -733,15 +739,13 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     d = problem.d
     y = _with_shape(y0, (d,), "y0 has", f" for the {d}-dimensional problem {problem.name!r}")
     step = ORBIT_STEP
-    nhist = int(np.ceil(tau / step)) + 1
     nsteps = int(np.ceil(t_settle / step))
-    ts = np.empty(nhist + nsteps)
-    ys = np.empty((nhist + nsteps, d))
-    ts[:nhist] = np.linspace(-tau, 0.0, nhist)
-    ys[:nhist] = y
     # step times summed one step at a time, as the stepper advances t
-    ts[nhist:] = np.add.accumulate(np.full(nsteps, step))
-    u = _StepHistory(ts, ys, nhist, step, block=max(1, int(np.floor(tau / step)) - 1))
+    ts = np.add.accumulate(np.append(0.0, np.full(nsteps, step)))
+    ys = np.empty((nsteps + 1, d))
+    fs = np.zeros((nsteps + 1, d))
+    ys[:2] = y  # constant until step 0 ends
+    u = _StepHistory(ts, ys, fs, step, block=max(1, int(np.floor(tau / step)) - 1))
 
     def f(stage, y_now):
         u.stage, u.y = stage, y_now
@@ -756,8 +760,8 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
         k3 = f(2, y + step / 2 * k2)
         k4 = f(3, y + step * k3)
         y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[nhist + i] = y
-    filled = nhist + nsteps
+        ys[i + 1], fs[i:i + 2] = y, k1
+    filled = nsteps + 1
 
     # period from upward crossings of the late-time average of component 0
     tail = slice(filled - int(0.6 * nsteps), filled)

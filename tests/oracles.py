@@ -329,30 +329,42 @@ def rk4_method_of_steps(terms, psi, t_end, step):
 def orbit_guess_per_call(problem, y0, t_settle, step=0.01, periods_back=3):
     """``integrate_orbit_guess`` with a fresh per-stage evaluator.
 
-    Every ``u(theta)`` call interpolates each component over the whole
-    accepted history; a scalar ``theta == 0`` returns the stage value.
+    Every ``u(theta)`` call evaluates the cubic Hermite interpolant of the
+    whole accepted history at ``t + theta``, holding the initial value
+    before 0 and the last accepted value beyond the last step. A step's
+    ``k1`` is the slope at its start; the newest accepted value, whose own
+    ``k1`` comes with the next step, borrows the slope of the value before
+    it. A scalar ``theta == 0`` returns the stage value.
     """
-    tau = problem.tau
     d = problem.d
-    nhist = int(np.ceil(tau / step)) + 1
     nsteps = int(np.ceil(t_settle / step))
-    ts = np.empty(nhist + nsteps)
-    ys = np.empty((nhist + nsteps, d))
-    ts[:nhist] = np.linspace(-tau, 0.0, nhist)
-    ys[:nhist] = y0[None, :]
+    ts = np.empty(nsteps + 1)
+    ys = np.empty((nsteps + 1, d))
+    slopes = np.empty((nsteps, d))
+    ts[0] = 0.0
+    ys[0] = y0
 
-    filled = nhist
+    filled = 1
+
+    def hermite(t_abs):
+        out = np.empty(np.shape(t_abs) + (d,))
+        if filled == 1:
+            out[...] = ys[0]
+            return out
+        hs = step * np.concatenate([slopes[:filled - 1], slopes[filled - 2:filled - 1]])
+        j = np.clip(np.searchsorted(ts[:filled], t_abs, "right") - 1, 0, filled - 2)
+        s = np.clip((t_abs - ts[j]) / step, 0.0, 1.0)[..., None]
+        left, dy = ys[j], ys[j + 1] - ys[j]
+        hf0, hf1 = hs[j], hs[j + 1]
+        out[...] = left + s * (hf0 + s * (3 * dy - 2 * hf0 - hf1 + s * (hf0 + hf1 - 2 * dy)))
+        return out
 
     def u_at(t_now, y_now):
         def u(theta):
             theta = np.asarray(theta, dtype=float)
-            t_abs = t_now + theta
-            out = np.empty(theta.shape + (d,))
-            for c in range(d):
-                out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
             if theta.ndim == 0 and theta == 0.0:
                 return np.asarray(y_now, dtype=float)
-            return out
+            return hermite(t_now + theta)
         return u
 
     def f(t_now, y_now):
@@ -367,6 +379,7 @@ def orbit_guess_per_call(problem, y0, t_settle, step=0.01, periods_back=3):
         k4 = f(t + step, y + step * k3)
         y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += step
+        slopes[filled - 1] = k1
         ts[filled] = t
         ys[filled] = y
         filled += 1
@@ -383,11 +396,6 @@ def orbit_guess_per_call(problem, y0, t_settle, step=0.01, periods_back=3):
     t0 = float(cross[-1] - period)
 
     def profile(s):
-        s = np.asarray(s, dtype=float)
-        t_abs = t0 + s * period
-        out = np.empty(s.shape + (d,))
-        for c in range(d):
-            out[..., c] = np.interp(t_abs, ts[:filled], ys[:filled, c])
-        return out
+        return hermite(t0 + np.asarray(s, dtype=float) * period)
 
     return profile, period

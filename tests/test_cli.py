@@ -306,7 +306,6 @@ class TestConfigFile:
         ("problem", "tau", "20", ["--tau", "20"]),
         ("bvp", "L", "12", ["-L", "12"]),
         ("bvp", "m", "3", ["-m", "3"]),
-        # argparse takes "-1e-3" after a space for a flag, but not after "="
         ("bvp", "tol", "-1e-3", ["--tol=-1e-3"]),
         ("bvp", "max_iters", "7", ["--max-iters", "7"]),
         ("bvp", "family", "chebyshev-zeros", ["--family", "chebyshev-zeros"]),
@@ -333,6 +332,17 @@ class TestConfigFile:
                                       parser.parse_args(["multipliers"] + flags))
         assert vars(from_file) == vars(from_flags)
         assert vars(from_flags) != vars(_load_config(None))
+
+    @pytest.mark.parametrize("flag, value", [("--eta", "-1e-1"), ("--tol", "-1E+2"),
+                                             ("--r", "-.5e-3"), ("--gamma", "-2.")])
+    def test_negative_value_after_a_space(self, flag, value):
+        # argparse's own negative-number pattern misses the exponent form
+        parser = _build_parser()
+        spaced, joined = (_apply_overrides(_load_config(None), parser.parse_args(argv))
+                          for argv in (["multipliers", flag, value],
+                                       ["multipliers", f"{flag}={value}"]))
+        assert vars(spaced) == vars(joined)
+        assert vars(spaced) != vars(_load_config(None))
 
     def test_readme_example_runs(self, tmp_path, capsys):
         # the "Config file format" block, inline ``;`` comments included
@@ -521,17 +531,26 @@ class TestExitCodes:
         (["multipliers", "--mesh", "uniform:abc"], "unknown mesh source 'uniform:abc'"),
         (["multipliers", "--mesh", "refined:abc"], "unknown mesh source 'refined:abc'"),
         (["multipliers", "--mesh", "refined"], "unknown mesh source 'refined'"),
+        (["multipliers", "--mesh", "uniform:0"], "unknown mesh source 'uniform:0'"),
         (["multipliers", "-M", "0"], "degree must be >= 1"),
         (["multipliers", "-m", "0"], "degree must be >= 1"),
         (["solve", "-m", "0"], "degree must be >= 1"),
+        (["solve", "-L", "-3"], "argument -L: not an integer >= 1: '-3'"),
         (["converge", "--vary", "M", "--values", "3,4", "--fixed", "1",
           "--reference", "foo"], "unknown reference spec 'foo'"),
         (["converge", "--vary", "M", "--values", "3,4", "--fixed", "1",
           "--reference", "self:2"], "unknown reference spec 'self:2'"),
         (["converge", "--vary", "L", "--values", "5,10", "--fixed", "4"],
          "--vary L needs uniform meshes"),
-    ], ids=["mesh-foo", "mesh-uniform-abc", "mesh-refined-abc", "mesh-refined", "M-0", "m-0",
-            "solve-m-0", "reference-foo", "reference-self-2", "vary-L-on-the-solution-mesh"])
+        (["converge", "--vary", "M", "--values", "0,4", "--fixed", "1"],
+         "argument --values: not an integer >= 1: '0'"),
+        (["converge", "--vary", "M", "--values", "3,4", "--fixed", "0", "--mesh", "uniform:1"],
+         "argument --fixed: not an integer >= 1: '0'"),
+        (["converge", "--vary", "M", "--values", "3,4", "--fixed", "1",
+          "--reference", "self:0,4"], "unknown reference spec 'self:0,4'"),
+    ], ids=["mesh-foo", "mesh-uniform-abc", "mesh-refined-abc", "mesh-refined", "mesh-uniform-0",
+            "M-0", "m-0", "solve-m-0", "solve-L-negative", "reference-foo", "reference-self-2",
+            "vary-L-on-the-solution-mesh", "values-0", "fixed-0", "reference-self-0"])
     def test_bad_spec_fails_before_the_orbit_guess(self, monkeypatch, capsys, argv, message):
         # every option and spec is parsed before plant's orbit guess integrates
         from pwfloquet import model

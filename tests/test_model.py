@@ -377,8 +377,8 @@ class TestOrbitGuess:
         assert np.array_equal(profile(self.S), ref_profile(self.S))
 
     def test_short_thetas_are_served_from_blocks(self, monkeypatch):
-        # thetas up to -0.2 = -4 steps, one array: a block of 3 steps each,
-        # where a per-call lookup interpolates at every one of 1,600 stages
+        # thetas up to -0.2 = -2 steps, one array: a block of 1 step each,
+        # where a per-call lookup interpolates at every one of 800 stages
         calls = []
         interp = model._StepHistory.interp
 
@@ -438,6 +438,19 @@ class TestOrbitGuess:
         integrate_orbit_guess(problem, np.array([1.15]), t_settle=100.0)
         block = max(1, math.floor(problem.tau / ORBIT_STEP) - 1)
         assert len(calls) <= math.ceil(math.ceil(100.0 / ORBIT_STEP) / block) + 1
+
+    def test_dense_output_accuracy(self, monkeypatch):
+        # y' = -(pi/2) y(t - 1) has period 4; with fourth-order history,
+        # halving the step cuts the period error more than tenfold, where
+        # linear history cuts it about fourfold
+        problem = NonlinearProblem(name="hopf", d_x=0, d_y=1, tau=1.0,
+                                   rhs=lambda u: -(np.pi / 2) * u(-1.0))
+        errors = []
+        for step in (ORBIT_STEP, ORBIT_STEP / 2):
+            monkeypatch.setattr(model, "ORBIT_STEP", step)
+            errors.append(abs(integrate_orbit_guess(problem, [1.0], t_settle=60.0)[1] - 4.0))
+        assert errors[0] < 1e-5
+        assert errors[1] <= errors[0] / 10
 
     def test_list_y0_accepted(self):
         problem = builtin("logistic", r=1.6).problem
