@@ -12,12 +12,12 @@ The square nonlinear system is solved by a damped Newton-type iteration
 with an analytic Jacobian. The derivative of the right-hand side comes from
 the problem's ``linearize_terms`` at the current iterate, the same terms the
 monodromy assembler reads, so a problem without ``linearize_terms`` cannot be
-solved (``MissingDerivativesError``). Where ``rhs`` integrates a distributed
-delay with its own fixed quadrature (``quadratic-re``, ``plant-coupled``),
+solved (``MissingDerivativesError``); its rows are summed by ``row_sums``,
+as the monodromy blocks are. Where ``rhs`` integrates a distributed delay
+with its own fixed quadrature (``quadratic-re``, ``plant-coupled``),
 ``linearize_terms`` describes the continuous integral instead, so the
 Jacobian is close to, not equal to, the derivative of the residual: the
-iteration is then a quasi-Newton one that converges linearly, with the same
-root.
+iteration is then a quasi-Newton one that converges linearly, with the same root.
 
 Each step solves ``(A^T A + |b|^2 I) x = -A^T b``, with ``A`` the Jacobian
 and ``b`` the residual, both with rows scaled to unit max-norm (a
@@ -43,6 +43,7 @@ from .interp import (
     gauss_rule,
     lagrange_matrix,
     prolong_pairs,
+    row_sums,
     window_rule,
 )
 from .mesh import UNIFORM, Mesh, build_forward_grid, reference_nodes
@@ -213,9 +214,10 @@ class _System:
         """
         w = state[-1]
         p = state[:-1].reshape(self.n_nodes, self.d)
-        npts, d = self.colloc.size, self.d
-        jp = np.zeros((npts, d, self.n_nodes, d))
-        dgdw = np.zeros((npts, d))
+        npts = self.colloc.size
+        jac = np.zeros((self.n_unknowns, self.n_unknowns))
+        jac[:, :-1] = self.linear
+        jac[: g.size, -1] = -np.where(self.differential, g, 0.0).ravel()
         # p' on every piece, as nodal values of the piece's own polynomial
         dp = PiecewiseSolution(self.side.breakpoints, p[self.piece_cols]).derivative().values
         t = w * self.colloc
@@ -223,38 +225,29 @@ class _System:
             lambda tt: self.values_at(p, np.asarray(tt, float) / w), w)
         every = np.arange(npts)
         for term in discrete:
-            coeff = term_values(term, self.problem, t)
-            theta = np.full(npts, -term.delay)
-            self._add(jp, dgdw, dp, term, every, np.mod(self.colloc + theta / w, 1.0),
-                      -theta / w**2, coeff)
+            self._subtract(jac, dp, w, term, every, np.mod(self.colloc - term.delay / w, 1.0),
+                           np.full(npts, term.delay / w**2), term_values(term, self.problem, t))
         for term in distributed:
             c, s, theta, wq = self._windows(term, w)
             kern = term_values(term, self.problem, t[c], theta)
-            self._add(jp, dgdw, dp, term, c, s, -theta / w**2,
-                      w * wq[:, None, None] * kern)
-
-        scale = np.where(self.differential, w, 1.0)
-        jp *= scale[:, None, None]
-        jac = np.zeros((self.n_unknowns, self.n_unknowns))
-        jac[:, :-1] = self.linear
-        jac[: npts * d, :-1] -= jp.reshape(npts * d, -1)
-        jac[: npts * d, -1] = -(scale * dgdw + np.where(self.differential, g, 0.0)).ravel()
+            self._subtract(jac, dp, w, term, c, s, -theta / w**2,
+                           w * wq[:, None, None] * kern)
         return jac
 
-    def _add(self, jp, dgdw, dp, term, c, s, dsdw, coeff):
-        """Add ``coeff[k] p_source(s[k])``, ``s`` in [0, 1], to the
-        right-hand side at collocation point ``c[k]``: its nodal weights to
-        ``jp``, its period derivative ``coeff[k] p'_source(s[k]) dsdw[k]``
-        to ``dgdw``."""
+    def _subtract(self, jac, dp, w, term, c, s, dsdw, coeff):
+        """Subtract ``coeff[k] p_source(s[k])``, ``s`` in [0, 1], scaled as the
+        target rows of collocation point ``c[k]`` (nondecreasing) are: its nodal
+        weights by ``row_sums``, and its period derivative ``coeff[k]
+        p'_source(s[k]) dsdw[k]`` from the period column."""
         ot, os = self.problem.block_offset(term.target), self.problem.block_offset(term.source)
         pt, qs = coeff.shape[1:]
+        coeff = coeff * (w if term.target == "y" else 1.0)
         cols, lw = prolong_pairs(self.side, s)
-        np.add.at(jp, (c[:, None, None, None], ot + np.arange(pt)[:, None, None],
-                       cols[:, None, :, None], os + np.arange(qs)),
-                  coeff[:, :, None, :] * lw[:, None, :, None])
+        rows, at, vals = row_sums(c, cols, lw, coeff, self.d, ot, os)
+        jac[rows, at] -= vals  # row_sums names no (row, column) twice
         slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // self.m])[:, os:os + qs]
-        np.add.at(dgdw, (c[:, None], ot + np.arange(pt)),
-                  np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
+        np.subtract.at(jac[:, -1], c[:, None] * self.d + ot + np.arange(pt),
+                       np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
 
     def _windows(self, term, w):
         """Quadrature of a distributed term at every collocation point.

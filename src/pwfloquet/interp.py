@@ -7,7 +7,8 @@ since the derivative has degree ``M - 1``. The interpolant's integral from
 the side's start splits into the integral up to the breakpoint left of the
 end point (``breakpoint_weights``) plus a partial-piece part
 (``integral_weights``); ``window_rule`` gives the quadrature points and
-weights of windows split at the side's breakpoints.
+weights of windows split at the side's breakpoints. ``row_sums`` sums such
+weights times coefficients per row, for the monodromy blocks and the BVP Jacobian.
 The weight builders are linear in the nodal data and take arrays of
 evaluation points: one ``searchsorted`` locates all points, and one Lagrange
 evaluation serves them all.
@@ -29,6 +30,7 @@ __all__ = [
     "bary_table",
     "gauss_rule",
     "prolong_pairs",
+    "row_sums",
     "integral_weights",
     "breakpoint_weights",
     "window_rule",
@@ -160,6 +162,27 @@ def prolong_pairs(side: GridSide, t) -> tuple[np.ndarray, np.ndarray]:
     w = lagrange_matrix(bary_table(side.family), x.ravel()).reshape(cols.shape)
     hit = side.nodes[cols] == t[..., None]
     return cols, np.where(hit.any(axis=-1, keepdims=True), hit, w)
+
+
+def row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
+    """Nonzero triples ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``:
+    row ``owner[k] d + ot + i``, column ``cols[k] d + os + j``; the points of
+    a row (``owner`` is nondecreasing) are summed first, over the range of
+    columns they touch, so no ``(row, column)`` pair repeats."""
+    new = np.r_[True, owner[1:] != owner[:-1]]
+    first = np.flatnonzero(new)
+    lo = np.minimum.reduceat(cols[:, 0], first)
+    width = np.maximum.reduceat(cols[:, -1], first) - lo + 1
+    shift = np.cumsum(width) - width - lo
+    flat = (cols + shift[np.cumsum(new) - 1, None]).ravel()
+    row = np.repeat(owner[first], width)
+    node = np.arange(width.sum()) - np.repeat(shift, width)
+    out = [(row * d + ot + i, node * d + os + j,
+            np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size))
+           for i, j in np.ndindex(coeff.shape[1:])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 def integral_weights(side: GridSide, upper):

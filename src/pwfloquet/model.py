@@ -100,7 +100,14 @@ class DistributedTerm:
 
 
 class _BlockLayout:
-    """State layout ``[x-block, y-block]``: ``d_x`` renewal, ``d_y`` differential."""
+    """State layout ``[x-block, y-block]``: ``d_x`` renewal, ``d_y`` differential,
+    with the maximal delay ``tau``; the dataclasses built on it check both."""
+
+    def __post_init__(self):
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, not {self.tau}")
+        if self.d_x < 0 or self.d_y < 0 or self.d_x + self.d_y == 0:
+            raise ValueError("state dimensions must be nonnegative and not both zero")
 
     @property
     def d(self) -> int:
@@ -137,10 +144,9 @@ class LinearPeriodicEquation(_BlockLayout):
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.omega <= 0 or self.tau <= 0:
-            raise ValueError("omega and tau must be positive")
-        if self.d_x < 0 or self.d_y < 0 or self.d_x + self.d_y == 0:
-            raise ValueError("state dimensions must be nonnegative and not both zero")
+        super().__post_init__()
+        if self.omega <= 0:
+            raise ValueError("omega must be positive")
         for term in self.discrete:
             if not (0.0 <= term.delay <= self.tau * (1 + 1e-12)):
                 raise ValueError(f"delay {term.delay} outside [0, tau]")
@@ -395,6 +401,8 @@ def plant_v0(a: float, b: float) -> float:
 
     Safeguarded Newton from -1 with bisection fallback, tolerance 1e-14.
     """
+    if b == 0:
+        raise ValueError("b = 0 is outside 0 < b <= 1: the rest state divides by b")
     f = lambda v: v - v**3 / 3.0 - (v + a) / b
     df = lambda v: 1.0 - v * v - 1.0 / b
     lo, hi = -10.0, 10.0  # f decreases towards both ends: f(lo) > 0 > f(hi)
@@ -485,7 +493,8 @@ def _quadratic_re(gamma: float = 4.0) -> Builtin:
     ``1/2 + pi/(4 gamma) + A sin(pi t / 2)`` of period 4.
     """
     tau = 3.0
-    radicand = 0.5 - 1.0 / gamma - (np.pi / (2 * gamma**2)) * (1.0 + np.pi / 4.0)
+    radicand = (0.5 - 1.0 / gamma - (np.pi / (2 * gamma**2)) * (1.0 + np.pi / 4.0)
+                if gamma != 0 else -np.inf)
     if radicand < 0:
         raise ValueError(
             f"gamma={gamma} is too small for a real periodic amplitude"

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .interp import (NodalFunction, bary_table, breakpoint_weights, integral_weights,
-                     prolong_pairs, window_rule)
+                     prolong_pairs, row_sums, window_rule)
 from .mesh import CollocationGrid, Mesh, NodeFamily, build_grid
 from .model import LinearPeriodicEquation, term_values
 
@@ -211,7 +211,7 @@ class _Assembler:
             pairs = [(hist, np.full((s.size, 1), grid.history.n - 1), one),
                      (fwd, cols, w), (fwd, grid.forward.n + k[:, None], one)]
         for name, cols, w in pairs:
-            self.triples[name].append(_row_sums(
+            self.triples[name].append(row_sums(
                 owner, cols, w, coeff, eq.d, eq.block_offset(target), eq.block_offset(source)))
 
     def add_at_times(self, hist, fwd, target, source, coeff, s):
@@ -256,26 +256,6 @@ class _Assembler:
         return {name: _Block(shape, grid.history if name[0] == "B" else grid.forward,
                              eq.d, self.triples[name])
                 for name, shape in shapes.items()}
-
-
-def _row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
-    """Nonzero triples ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``:
-    row ``owner[k] d + ot + i``, column ``cols[k] d + os + j``; the points of
-    a row are summed first, over the range of columns they touch."""
-    new = np.r_[True, owner[1:] != owner[:-1]]
-    first = np.flatnonzero(new)
-    lo = np.minimum.reduceat(cols[:, 0], first)
-    width = np.maximum.reduceat(cols[:, -1], first) - lo + 1
-    shift = np.cumsum(width) - width - lo
-    flat = (cols + shift[np.cumsum(new) - 1, None]).ravel()
-    row = np.repeat(owner[first], width)
-    node = np.arange(width.sum()) - np.repeat(shift, width)
-    out = [(row * d + ot + i, node * d + os + j,
-            np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size))
-           for i, j in np.ndindex(coeff.shape[1:])]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep]
 
 
 class _Block:

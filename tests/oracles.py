@@ -9,7 +9,11 @@ evaluator that ``integrate_orbit_guess`` must reproduce bit for bit.
 ignoring its causal block structure, and ``dense_multipliers`` lists every
 eigenvalue of it. ``fd_jacobian`` and
 ``central_jacobian`` differentiate the BVP residual column by column, the
-way the periodic solver did before it assembled its Jacobian analytically.
+way the periodic solver did before it assembled its Jacobian analytically;
+``dense_jacobian`` keeps the analytic Jacobian as it was summed before
+``row_sums`` (a 4-D ``np.add.at`` into a dense temporary, scaled afterwards),
+which the library's matches to roundoff, also where ``rhs`` uses its own
+quadrature and finite differences cannot.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
 ``kernel_quadrature`` are dense, one-window conveniences over the library's
 sparse weight builders; ``restrict`` samples a scalar-style callback node by
@@ -30,6 +34,7 @@ import scipy.linalg
 from pwfloquet.interp import (NodalFunction, breakpoint_weights, integral_weights,
                               prolong_pairs, window_rule)
 from pwfloquet.mesh import COINCIDENCE_RTOL, SLIVER_RTOL, GridSide, Mesh
+from pwfloquet.model import PiecewiseSolution, term_values
 
 
 FD_STEP = 1e-7
@@ -58,6 +63,51 @@ def central_jacobian(sys, state, step=1e-5):
         up[i] += delta
         down[i] -= delta
         jac[:, i] = (sys.residual(up) - sys.residual(down)) / (2 * delta)
+    return jac
+
+
+def dense_jacobian(sys, state, g):
+    """The BVP Jacobian of ``sys`` (a ``bvp._System``) at ``state`` as the
+    solver built it before ``row_sums``: every term's nodal weights scattered
+    by a 4-D ``np.add.at`` into a dense ``(points, d, nodes, d)`` array, its
+    period derivative into ``(points, d)``, both scaled by the row scale
+    afterwards and subtracted from the linear rows."""
+    w = state[-1]
+    p = state[:-1].reshape(sys.n_nodes, sys.d)
+    npts, d = sys.colloc.size, sys.d
+    jp = np.zeros((npts, d, sys.n_nodes, d))
+    dgdw = np.zeros((npts, d))
+    dp = PiecewiseSolution(sys.side.breakpoints, p[sys.piece_cols]).derivative().values
+
+    def add(term, c, s, dsdw, coeff):
+        ot, os = sys.problem.block_offset(term.target), sys.problem.block_offset(term.source)
+        pt, qs = coeff.shape[1:]
+        cols, lw = prolong_pairs(sys.side, s)
+        np.add.at(jp, (c[:, None, None, None], ot + np.arange(pt)[:, None, None],
+                       cols[:, None, :, None], os + np.arange(qs)),
+                  coeff[:, :, None, :] * lw[:, None, :, None])
+        slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // sys.m])[:, os:os + qs]
+        np.add.at(dgdw, (c[:, None], ot + np.arange(pt)),
+                  np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
+
+    t = w * sys.colloc
+    discrete, distributed = sys.problem.linearize_terms(
+        lambda tt: sys.values_at(p, np.asarray(tt, float) / w), w)
+    for term in discrete:
+        theta = np.full(npts, -term.delay)
+        add(term, np.arange(npts), np.mod(sys.colloc + theta / w, 1.0), -theta / w**2,
+            term_values(term, sys.problem, t))
+    for term in distributed:
+        c, s, theta, wq = sys._windows(term, w)
+        add(term, c, s, -theta / w**2,
+            w * wq[:, None, None] * term_values(term, sys.problem, t[c], theta))
+
+    scale = np.where(sys.differential, w, 1.0)
+    jp *= scale[:, None, None]
+    jac = np.zeros((sys.n_unknowns, sys.n_unknowns))
+    jac[:, :-1] = sys.linear
+    jac[: npts * d, :-1] -= jp.reshape(npts * d, -1)
+    jac[: npts * d, -1] = -(scale * dgdw + np.where(sys.differential, g, 0.0)).ravel()
     return jac
 
 

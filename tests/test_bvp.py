@@ -22,7 +22,7 @@ from pwfloquet.model import (
     write_solution,
 )
 
-from oracles import central_jacobian, fd_jacobian
+from oracles import central_jacobian, dense_jacobian, fd_jacobian
 
 
 def quadratic_re_bvp(L=20, m=6):
@@ -303,6 +303,25 @@ class TestAnalyticJacobian:
         # 6e-6 itself, ten times less at 1e-8
         assert max(_relative_errors(jac, fd_jacobian(sys, state, r, step=1e-8))) <= 1e-6
         assert max(_relative_errors(jac, central_jacobian(sys, state, step=3e-7))) <= 1e-8
+
+    @pytest.mark.parametrize("make", [
+        sine_logistic_bvp, plant_bvp,
+        # renewal rows, a distributed term, windows left empty by the shifts
+        lambda: quadratic_re_bvp(L=12, m=4)[1],
+        # the coupled layout, windows that wrap past s = 1
+        lambda: plant_bvp("plant-coupled"),
+    ], ids=["logistic", "plant", "quadratic-re", "plant-coupled"])
+    def test_matches_the_dense_oracle(self, make):
+        # also where rhs uses its own quadrature and finite differences cannot
+        from pwfloquet.bvp import _System, _initial_state
+        bvp = make()
+        sys = _System(bvp)
+        state = _initial_state(sys, bvp)
+        state[:-1] += 1e-3 * np.random.default_rng(3).normal(size=state.size - 1)
+        state[-1] *= 1.003
+        g = sys.evaluate(state)[1]
+        jac = sys.jacobian(state, g)
+        assert max(_relative_errors(jac, dense_jacobian(sys, state, g))) <= 1e-13
 
     @pytest.mark.parametrize("L, m, period, amp", [
         (15, 4, 4.1, 0.05),

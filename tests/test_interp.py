@@ -21,6 +21,7 @@ from pwfloquet.interp import (
     integral_weights,
     lagrange_matrix,
     prolong_pairs,
+    row_sums,
 )
 from pwfloquet.model import PiecewiseSolution, data_path, read_solution, sample_solution
 from oracles import (integral_rows, kernel_quadrature, loop_differentiation_matrix,
@@ -368,6 +369,37 @@ class TestBatchedWeights:
         got = integral_rows(side, ts) @ poly(side.nodes)
         want = poly.integ()(ts) - poly.integ()(0.0)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+class TestRowSums:
+    @given(data=st.data(), pieces=st.integers(2, 6), m=st.integers(1, 5),
+           d=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scattered_products(self, data, pieces, m, d):
+        # the first row reads both the first and the last piece of the side,
+        # as a BVP window that wraps past s = 1 does
+        ot, os = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        p, q = data.draw(st.integers(1, d - ot)), data.draw(st.integers(1, d - os))
+        owner = np.sort(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=15)))
+        piece = np.array(data.draw(st.lists(st.integers(0, pieces - 1),
+                                            min_size=owner.size, max_size=owner.size)))
+        owner, piece = np.r_[owner[0], owner], np.r_[0, piece]
+        piece[np.flatnonzero(owner == owner[0])[-1]] = pieces - 1
+        cols = piece[:, None] * m + np.arange(m + 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w, coeff = rng.normal(size=cols.shape), rng.normal(size=(owner.size, p, q))
+        rows, at, vals = row_sums(owner, cols, w, coeff, d, ot, os)
+
+        shape = (d * (owner.max() + 1), d * (pieces * m + 1))
+        want = np.zeros(shape)
+        np.add.at(want, ((owner[:, None] * d + ot + np.arange(p))[:, :, None, None],
+                         (cols[:, :, None] * d + os + np.arange(q))[:, None]),
+                  coeff[:, :, None, :] * w[:, None, :, None])
+        got = np.zeros(shape)
+        got[rows, at] = vals
+        assert np.array_equal(got, want)
+        assert np.unique(rows * shape[1] + at).size == rows.size
+        assert np.all(vals != 0.0)
 
 
 class TestPiecewiseSolutionAtNodes:

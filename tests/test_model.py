@@ -322,6 +322,33 @@ class TestValidationErrors:
                 distributed=(DistributedTerm("x", "x", -0.5, -0.9, np.eye(1)),),
             )
 
+    @pytest.mark.parametrize("tau", [0.0, -5.0, float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda tau: NonlinearProblem(name="raw", d_x=0, d_y=1, tau=tau),
+        lambda tau: LinearPeriodicEquation(d_x=0, d_y=1, omega=1.0, tau=tau),
+        lambda tau: builtin("plant", tau=tau),
+        lambda tau: builtin("plant-coupled", tau=tau),
+    ], ids=["nonlinear", "linear", "plant", "plant-coupled"])
+    def test_nonpositive_delay(self, make, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            make(tau)
+
+    @pytest.mark.parametrize("d_x, d_y", [(0, 0), (-1, 2), (1, -1)])
+    @pytest.mark.parametrize("cls", [NonlinearProblem, LinearPeriodicEquation])
+    def test_bad_block_dimensions(self, cls, d_x, d_y):
+        extra = {"name": "raw"} if cls is NonlinearProblem else {"omega": 1.0}
+        with pytest.raises(ValueError, match="state dimensions"):
+            cls(d_x=d_x, d_y=d_y, tau=1.0, **extra)
+
+    @pytest.mark.parametrize("name", ["plant", "plant-coupled"])
+    def test_zero_b_is_named(self, name):
+        with pytest.raises(ValueError, match="b = 0"):
+            builtin(name, b=0.0)
+
+    def test_zero_gamma_is_too_small(self):
+        with pytest.raises(ValueError, match="gamma=0.0 is too small"):
+            builtin("quadratic-re", gamma=0.0)
+
     def test_solution_breakpoints_start_at_zero(self):
         # evaluation reduces times modulo the period onto [0, omega]
         with pytest.raises(ValueError, match="must start at 0"):
