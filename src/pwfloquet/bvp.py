@@ -12,9 +12,9 @@ The square nonlinear system is solved by a damped Newton-type iteration
 with an analytic Jacobian. The derivative of the right-hand side comes from
 the problem's ``linearize_terms`` at the current iterate, the same terms the
 monodromy assembler reads, so a problem without ``linearize_terms`` cannot be
-solved (``MissingDerivativesError``); its rows are summed by ``row_sums``,
-as the monodromy blocks are. Where ``rhs`` integrates a distributed delay
-with its own fixed quadrature (``quadratic-re``, ``plant-coupled``),
+solved (``MissingDerivativesError``); its rows come from the row chunks of
+``row_sums``, as the monodromy blocks do. Where ``rhs`` integrates a
+distributed delay with its own fixed quadrature (``quadratic-re``, ``plant-coupled``),
 ``linearize_terms`` describes the continuous integral instead, so the
 Jacobian is close to, not equal to, the derivative of the residual: the
 iteration is then a quasi-Newton one that converges linearly, with the same root.
@@ -243,8 +243,8 @@ class _System:
         pt, qs = coeff.shape[1:]
         coeff = coeff * (w if term.target == "y" else 1.0)
         cols, lw = prolong_pairs(self.side, s)
-        rows, at, vals = row_sums(c, cols, lw, coeff, self.d, ot, os)
-        jac[rows, at] -= vals  # row_sums names no (row, column) twice
+        for rows, at, vals in row_sums(c, cols, lw, coeff, self.d, ot, os):
+            jac[rows[:, None], at] -= vals  # no chunk names a (row, column) twice
         slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // self.m])[:, os:os + qs]
         np.subtract.at(jac[:, -1], c[:, None] * self.d + ot + np.arange(pt),
                        np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])

@@ -7,8 +7,9 @@ since the derivative has degree ``M - 1``. The interpolant's integral from
 the side's start splits into the integral up to the breakpoint left of the
 end point (``breakpoint_weights``) plus a partial-piece part
 (``integral_weights``); ``window_rule`` gives the quadrature points and
-weights of windows split at the side's breakpoints. ``row_sums`` sums such
-weights times coefficients per row, for the monodromy blocks and the BVP Jacobian.
+weights of windows split at the side's breakpoints. ``row_sums`` turns such
+weights times coefficients into row chunks, for the monodromy blocks and the
+BVP Jacobian; only a row with several points is summed.
 The weight builders are linear in the nodal data and take arrays of
 evaluation points: one ``searchsorted`` locates all points, and one Lagrange
 evaluation serves them all.
@@ -164,11 +165,20 @@ def prolong_pairs(side: GridSide, t) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.where(hit.any(axis=-1, keepdims=True), hit, w)
 
 
-def row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
-    """Nonzero triples ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``:
-    row ``owner[k] d + ot + i``, column ``cols[k] d + os + j``; the points of
-    a row (``owner`` is nondecreasing) are summed first, over the range of
-    columns they touch, so no ``(row, column)`` pair repeats."""
+def row_sums(owner, cols, w, coeff, d: int, ot: int, os: int) -> list:
+    """Row chunks ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``, one
+    per pair ``(i, j)`` whose coefficient is nonzero at some point, the
+    columns and values of shape ``(len(rows), K)``: row ``owner[k] d + ot +
+    i``, column ``cols[k] d + os + j``. If no row has two points (``owner``
+    strictly increasing), each point keeps its own columns, zero values
+    included, and the chunks of one ``j`` share their columns array;
+    otherwise the points of a row (``owner`` nondecreasing) are summed first,
+    over the range of columns they touch, and the nonzero sums kept (``K =
+    1``). No ``(row, column)`` pair repeats."""
+    pairs = np.argwhere(coeff.any(axis=0))
+    if np.all(owner[1:] > owner[:-1]):
+        at = {j: cols * d + os + j for j in np.unique(pairs[:, 1])}
+        return [(owner * d + ot + i, at[j], coeff[:, i, j, None] * w) for i, j in pairs]
     new = np.r_[True, owner[1:] != owner[:-1]]
     first = np.flatnonzero(new)
     lo = np.minimum.reduceat(cols[:, 0], first)
@@ -177,12 +187,13 @@ def row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
     flat = (cols + shift[np.cumsum(new) - 1, None]).ravel()
     row = np.repeat(owner[first], width)
     node = np.arange(width.sum()) - np.repeat(shift, width)
-    out = [(row * d + ot + i, node * d + os + j,
-            np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size))
-           for i, j in np.ndindex(coeff.shape[1:])]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep]
+    out = []
+    for i, j in pairs:
+        vals = np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size)
+        keep = vals != 0.0
+        out.append((row[keep] * d + ot + i, node[keep][:, None] * d + os + j,
+                    vals[keep][:, None]))
+    return out
 
 
 def integral_weights(side: GridSide, upper):

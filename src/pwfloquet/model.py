@@ -400,9 +400,11 @@ def plant_v0(a: float, b: float) -> float:
     """Real root of ``v - v^3/3 - (v + a)/b`` (unique for a != 0, 0 < b <= 1).
 
     Safeguarded Newton from -1 with bisection fallback, tolerance 1e-14.
+    Raises ValueError for ``b <= 0``, and where ``[-10, 10]`` brackets no root.
     """
-    if b == 0:
-        raise ValueError("b = 0 is outside 0 < b <= 1: the rest state divides by b")
+    if b <= 0:
+        why = "the rest state divides by b" if b == 0 else "w' = r (v + a - b w) grows unbounded"
+        raise ValueError(f"b = {b:g} is outside 0 < b <= 1: {why}")
     f = lambda v: v - v**3 / 3.0 - (v + a) / b
     df = lambda v: 1.0 - v * v - 1.0 / b
     lo, hi = -10.0, 10.0  # f decreases towards both ends: f(lo) > 0 > f(hi)
@@ -719,10 +721,11 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
     from the constant history ``y0``. The period is estimated from the last
     ``PERIODS_BACK + 1`` upward crossings of component 0 through its
     late-time average. Returns ``(profile over [0, 1], period estimate)``.
-    Raises ``RuntimeError`` when the tail holds too few crossings or the
-    oscillation decays: the range of component 0 over the second half of the
-    tail is below ``DECAY_RATIO`` times its range over the first half, as
-    below a Hopf point.
+    Raises ``RuntimeError`` when a state is not finite (the solution blew
+    up), when the tail holds too few crossings or when the oscillation
+    decays: the range of component 0 over the second half of the tail is
+    below ``DECAY_RATIO`` times its range over the first half, as below a
+    Hopf point.
 
     The slope at an accepted time is the ``k1`` of the step from it, stored
     when that step ends; until then the newest time borrows the slope of the
@@ -760,17 +763,23 @@ def integrate_orbit_guess(problem: NonlinearProblem, y0: np.ndarray,
         u.stage, u.y = stage, y_now
         return rhs_values(problem, u, (d,))
 
-    for i in range(nsteps):
-        if i % u.block == 0:
-            u.new_block(i)
-        u.i = i
-        k1 = f(0, y)
-        k2 = f(1, y + step / 2 * k1)
-        k3 = f(2, y + step / 2 * k2)
-        k4 = f(3, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[i + 1], fs[i:i + 2] = y, k1
+    # a blow-up overflows silently; the accepted states are checked once after
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nsteps):
+            if i % u.block == 0:
+                u.new_block(i)
+            u.i = i
+            k1 = f(0, y)
+            k2 = f(1, y + step / 2 * k1)
+            k3 = f(2, y + step / 2 * k2)
+            k4 = f(3, y + step * k3)
+            y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            ys[i + 1], fs[i:i + 2] = y, k1
     filled = nsteps + 1
+    blown = ~np.isfinite(ys).all(axis=1)
+    if blown.any():
+        raise RuntimeError(f"the orbit guess blew up: the state is not finite "
+                           f"from t = {ts[np.argmax(blown)]:g}")
 
     # period from upward crossings of the late-time average of component 0
     tail = slice(filled - int(0.6 * nsteps), filled)

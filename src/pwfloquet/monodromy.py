@@ -25,7 +25,8 @@ substitution, each diagonal inverse folded into its piece's off-diagonal
 part, forms ``X = (I - A2)^{-1} A1`` from ``A1``'s row groups where ``A1`` is
 nonzero, and sums the integrals of ``X`` piece by piece. ``T`` is zero
 outside the columns ``cols`` that ``A1`` or ``B1`` reads; ``X`` and ``T[:,
-cols]`` are the only dense arrays (``T`` is formed on demand). Higham's
+cols]`` are the only dense arrays (``T`` is formed on demand), and the
+per-piece inverses are dropped once ``X`` is solved. Higham's
 estimate of ``||(I - A2)^{-1}||_1`` (the estimator of LAPACK's ``gecon``)
 against the exact ``||I - A2||_1`` gives ``rcond``, which must reach
 ``1e-14``.
@@ -184,15 +185,15 @@ def _merge_breakpoints(eq: LinearPeriodicEquation, mesh: Mesh, enforce: str):
 
 
 class _Assembler:
-    """Structured ``A1, A2, B1, B2``: every point adds (row, column, weight)
-    triples over the ``M + 1`` nodes of its piece; one that reads a
-    differential block on ``[0, omega]`` also adds the coefficient of its
-    ``int_0^{t_k} Z``, column ``n_fwd + k`` (node-major like ``Z``)."""
+    """Structured ``A1, A2, B1, B2`` from the row chunks of ``row_sums``:
+    every point weighs the ``M + 1`` nodes of its piece; one that reads a
+    differential block on ``[0, omega]`` also weighs its ``int_0^{t_k} Z``,
+    column ``n_fwd + k`` (node-major like ``Z``)."""
 
     def __init__(self, eq: LinearPeriodicEquation, grid: CollocationGrid):
         self.eq = eq
         self.grid = grid
-        self.triples = {name: [] for name in ("A1", "A2", "B1", "B2")}
+        self.chunks = {name: [] for name in ("A1", "A2", "B1", "B2")}
 
     def add(self, hist, fwd, target, source, owner, coeff, side, s):
         """Add ``sum_k coeff[k] (x) weights(s[k])`` to the target rows of node
@@ -211,7 +212,7 @@ class _Assembler:
             pairs = [(hist, np.full((s.size, 1), grid.history.n - 1), one),
                      (fwd, cols, w), (fwd, grid.forward.n + k[:, None], one)]
         for name, cols, w in pairs:
-            self.triples[name].append(row_sums(
+            self.chunks[name].extend(row_sums(
                 owner, cols, w, coeff, eq.d, eq.block_offset(target), eq.block_offset(source)))
 
     def add_at_times(self, hist, fwd, target, source, coeff, s):
@@ -254,31 +255,39 @@ class _Assembler:
         ext = nf + eq.d * (grid.forward.P + 1)
         shapes = {"A1": (nf, nh), "A2": (nf, ext), "B1": (nh, nh), "B2": (nh, ext)}
         return {name: _Block(shape, grid.history if name[0] == "B" else grid.forward,
-                             eq.d, self.triples[name])
+                             eq.d, self.chunks[name])
                 for name, shape in shapes.items()}
 
 
 class _Block:
     """A block as row groups ``(rows, columns, dense values)``, one per piece
-    of the rows' side, each dense over the columns its points touch. Each part
-    of the triples (none names a ``(row, column)`` twice) is summed into the
-    span of values it touches: the bits of one sum over all the triples."""
+    of the rows' side, each dense over the columns its nonzero values touch.
+    Each row chunk (none names a ``(row, column)`` twice) is summed into the
+    span of values it touches: the bits of one sum over all the nonzero
+    entries."""
 
-    def __init__(self, shape, side, d: int, triples):
+    def __init__(self, shape, side, d: int, chunks):
         # piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
         edges = np.r_[0, d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
-        group_of = lambda rows: np.maximum(rows // d - 1, 0) // side.family.degree
-        # no sort: a (group, column) mask numbers the columns of each group
-        mask = np.zeros((side.P, shape[1]), bool)
-        for rows, cols, _ in triples:
-            mask[group_of(rows), cols] = True
-        pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
+        # no sort: a (group, column) mask numbers the columns of each group;
+        # it is indexed flat, at group * shape[1] + column
+        mask = np.zeros(side.P * shape[1], bool)
+        placed = []
+        for rows, cols, vals in chunks:
+            group = np.maximum(rows // d - 1, 0) // side.family.degree
+            live = vals != 0.0
+            live = ... if live.all() else live  # a view where no value is zero
+            mask[((group * shape[1])[:, None] + cols)[live]] = True
+            placed.append((group, rows - edges[group], live))
+        mask = mask.reshape(side.P, shape[1])
+        pos = (np.cumsum(mask, axis=1, dtype=np.int32) - 1).ravel()
         nrows, count = np.diff(edges), mask.sum(axis=1)
         start = np.cumsum(nrows * count) - nrows * count
         dense = np.zeros((nrows * count).sum())
-        for rows, cols, vals in triples:
-            group = group_of(rows)
-            flat = start[group] + (rows - edges[group]) * count[group] + pos[group, cols]
+        for (_, cols, vals), (group, offset, live) in zip(chunks, placed):
+            first = start[group] + offset * count[group]
+            flat = (first[:, None] + pos[(group * shape[1])[:, None] + cols])[live].ravel()
+            vals = vals[live].ravel()
             if flat.size:
                 span = dense[flat.min():flat.max() + 1]
                 span += np.bincount(flat - flat.min(), vals, minlength=span.size)
@@ -345,6 +354,7 @@ def assemble(eq: LinearPeriodicEquation, mesh: Mesh, family: NodeFamily, *,
     cols = np.r_[used, np.setdiff1d(np.concatenate([g[1] for g in parts["B1"].groups]), used)]
     x = system.solve([(used.searchsorted(at), w) for _, at, w in parts["A1"].groups],
                      used.shape)
+    del system  # its per-piece inverses, before T_cols joins X
     t_cols = parts["B1"].dense(cols)
     for rows, at, w in parts["B2"].groups:
         t_cols[rows, :used.size] += w @ x[at]

@@ -17,9 +17,12 @@ quadrature and finite differences cannot.
 ``prolong_weights``, ``prolong_eval``, ``integral_rows`` and
 ``kernel_quadrature`` are dense, one-window conveniences over the library's
 sparse weight builders; ``restrict`` samples a scalar-style callback node by
-node. ``searchsorted_groups`` keeps the earlier construction of a block's
-row groups (a binary search of each row among the group edges), which the
-library must reproduce bit for bit. ``scattered_monodromy`` forms ``T`` with
+node. ``triple_row_sums`` keeps the earlier ``row_sums``, which summed
+the points of every row and returned flat nonzero ``(row, column, value)``
+triples; the library's row chunks, flattened with their zeros dropped, are
+those triples bit for bit. ``searchsorted_groups`` keeps the earlier
+construction of a block's row groups from such triples (a binary search of
+each row among the group edges), which the library must reproduce bit for bit. ``scattered_monodromy`` forms ``T`` with
 its own block forward substitution, the diagonal inverse applied after the
 off-diagonal products, which the library's folded one matches to roundoff.
 ``loop_forward_grid``, ``loop_history_grid`` and ``loop_refine_mesh`` keep
@@ -171,6 +174,27 @@ def dense_monodromy(blocks):
     rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
     assert info == 0
     return b1 + b2 @ scipy.linalg.lu_solve((lu, piv), a1), float(rcond)
+
+
+def triple_row_sums(owner, cols, w, coeff, d: int, ot: int, os: int):
+    """Nonzero triples ``(rows, columns, values)`` of ``coeff[k] (x) w[k]``:
+    row ``owner[k] d + ot + i``, column ``cols[k] d + os + j``; the points of
+    a row (``owner`` is nondecreasing) are summed first, over the range of
+    columns they touch, so no ``(row, column)`` pair repeats."""
+    new = np.r_[True, owner[1:] != owner[:-1]]
+    first = np.flatnonzero(new)
+    lo = np.minimum.reduceat(cols[:, 0], first)
+    width = np.maximum.reduceat(cols[:, -1], first) - lo + 1
+    shift = np.cumsum(width) - width - lo
+    flat = (cols + shift[np.cumsum(new) - 1, None]).ravel()
+    row = np.repeat(owner[first], width)
+    node = np.arange(width.sum()) - np.repeat(shift, width)
+    out = [(row * d + ot + i, node * d + os + j,
+            np.bincount(flat, (coeff[:, i, j, None] * w).ravel(), minlength=node.size))
+           for i, j in np.ndindex(coeff.shape[1:])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 def searchsorted_groups(shape, side, d, triples):

@@ -551,6 +551,10 @@ class TestExitCodes:
         (["multipliers", "--b", "0", "-M", "4"], "configuration error: b = 0"),
         (["multipliers", "--problem", "plant-coupled", "--b", "0", "-M", "4"],
          "configuration error: b = 0"),
+        # a negative b makes the orbit guess overflow
+        (["multipliers", "--b", "-0.5", "-M", "4"], "configuration error: b = -0.5"),
+        (["multipliers", "--problem", "plant-coupled", "--b", "-0.5", "-M", "4"],
+         "configuration error: b = -0.5"),
         (["multipliers", "--problem", "quadratic-re", "--gamma", "0", "-M", "4", "--exact"],
          "configuration error: gamma=0.0 is too small"),
         (["multipliers", "--tau", "0"], "configuration error: tau must be positive"),
@@ -560,7 +564,8 @@ class TestExitCodes:
     ], ids=["mesh-foo", "mesh-uniform-abc", "mesh-refined-abc", "mesh-refined", "mesh-uniform-0",
             "M-0", "m-0", "solve-m-0", "solve-L-negative", "reference-foo", "reference-self-2",
             "vary-L-on-the-solution-mesh", "values-0", "fixed-0", "reference-self-0",
-            "plant-b-0", "plant-coupled-b-0", "quadratic-re-gamma-0", "plant-tau-0",
+            "plant-b-0", "plant-coupled-b-0", "plant-b-negative", "plant-coupled-b-negative",
+            "quadratic-re-gamma-0", "plant-tau-0",
             "plant-tau-negative", "plant-coupled-tau-0"])
     def test_bad_spec_fails_before_the_orbit_guess(self, monkeypatch, capsys, argv, message):
         # every option, spec and problem parameter is checked before the orbit

@@ -25,7 +25,7 @@ from pwfloquet.interp import (
 )
 from pwfloquet.model import PiecewiseSolution, data_path, read_solution, sample_solution
 from oracles import (integral_rows, kernel_quadrature, loop_differentiation_matrix,
-                     prolong_eval, prolong_weights, restrict)
+                     prolong_eval, prolong_weights, restrict, triple_row_sums)
 
 EPS = np.finfo(float).eps
 
@@ -371,6 +371,49 @@ class TestBatchedWeights:
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _assert_row_sums(owner, cols, w, coeff, d, ot, os, pieces, m):
+    """``row_sums`` against the scattered products and the triples of
+    ``triple_row_sums``: its chunks, flattened with their zeros dropped, are
+    those triples bit for bit, and no ``(row, column)`` pair repeats."""
+    p, q = coeff.shape[1:]
+    chunks = row_sums(owner, cols, w, coeff, d, ot, os)
+    one_point = np.all(owner[1:] > owner[:-1])
+    shape = (d * (owner.max() + 1), d * (pieces * m + 1))
+    got = np.zeros(shape)
+    for rows, at, vals in chunks:
+        assert at.shape == vals.shape == (rows.size, at.shape[1])
+        got[rows[:, None], at] = vals
+        # a zero value only in a one-point chunk, which keeps each point's
+        # columns for every pair whose coefficient is nonzero at some point
+        assert one_point or np.all(vals != 0.0)
+        if one_point:
+            assert at.shape == (owner.size, m + 1)
+    if one_point:
+        assert len(chunks) == np.count_nonzero(coeff.any(axis=0))
+
+    want = np.zeros(shape)
+    np.add.at(want, ((owner[:, None] * d + ot + np.arange(p))[:, :, None, None],
+                     (cols[:, :, None] * d + os + np.arange(q))[:, None]),
+              coeff[:, :, None, :] * w[:, None, :, None])
+    assert np.array_equal(got, want)
+
+    # the chunks flattened, in order
+    rows = np.concatenate([np.empty(0, int)] + [np.repeat(r, a.shape[1]) for r, a, _ in chunks])
+    at = np.concatenate([np.empty(0, int)] + [a.ravel() for _, a, _ in chunks])
+    vals = np.concatenate([np.empty(0)] + [v.ravel() for *_, v in chunks])
+    assert np.unique(rows * shape[1] + at).size == rows.size
+    keep = vals != 0.0
+    for got_part, want_part in zip((rows[keep], at[keep], vals[keep]),
+                                   triple_row_sums(owner, cols, w, coeff, d, ot, os),
+                                   strict=True):
+        assert np.array_equal(got_part, want_part)
+
+
+def _block_offsets(data, d):
+    ot, os = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    return ot, os, data.draw(st.integers(1, d - ot)), data.draw(st.integers(1, d - os))
+
+
 class TestRowSums:
     @given(data=st.data(), pieces=st.integers(2, 6), m=st.integers(1, 5),
            d=st.integers(1, 3))
@@ -378,8 +421,7 @@ class TestRowSums:
     def test_equals_scattered_products(self, data, pieces, m, d):
         # the first row reads both the first and the last piece of the side,
         # as a BVP window that wraps past s = 1 does
-        ot, os = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-        p, q = data.draw(st.integers(1, d - ot)), data.draw(st.integers(1, d - os))
+        ot, os, p, q = _block_offsets(data, d)
         owner = np.sort(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=15)))
         piece = np.array(data.draw(st.lists(st.integers(0, pieces - 1),
                                             min_size=owner.size, max_size=owner.size)))
@@ -388,18 +430,28 @@ class TestRowSums:
         cols = piece[:, None] * m + np.arange(m + 1)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         w, coeff = rng.normal(size=cols.shape), rng.normal(size=(owner.size, p, q))
-        rows, at, vals = row_sums(owner, cols, w, coeff, d, ot, os)
+        _assert_row_sums(owner, cols, w, coeff, d, ot, os, pieces, m)
 
-        shape = (d * (owner.max() + 1), d * (pieces * m + 1))
-        want = np.zeros(shape)
-        np.add.at(want, ((owner[:, None] * d + ot + np.arange(p))[:, :, None, None],
-                         (cols[:, :, None] * d + os + np.arange(q))[:, None]),
-                  coeff[:, :, None, :] * w[:, None, :, None])
-        got = np.zeros(shape)
-        got[rows, at] = vals
-        assert np.array_equal(got, want)
-        assert np.unique(rows * shape[1] + at).size == rows.size
-        assert np.all(vals != 0.0)
+    @given(data=st.data(), pieces=st.integers(1, 6), m=st.integers(1, 5),
+           d=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_one_point_rows_equal_scattered_products(self, data, pieces, m, d):
+        # each row one point, as discrete terms and end-state rows have:
+        # node hits give unit weight rows, and coefficients vanish at some
+        # points or at every point of a pair
+        ot, os, p, q = _block_offsets(data, d)
+        owner = np.array(sorted(data.draw(st.sets(st.integers(0, 20), min_size=1,
+                                                  max_size=12))))
+        piece = np.array(data.draw(st.lists(st.integers(0, pieces - 1),
+                                            min_size=owner.size, max_size=owner.size)))
+        cols = piece[:, None] * m + np.arange(m + 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w, coeff = rng.normal(size=cols.shape), rng.normal(size=(owner.size, p, q))
+        hits = rng.random(owner.size) < 0.3
+        w[hits] = np.eye(m + 1)[rng.integers(0, m + 1, hits.sum())]
+        coeff[rng.random(coeff.shape) < 0.2] = 0.0
+        coeff[:, rng.random((p, q)) < 0.3] = 0.0
+        _assert_row_sums(owner, cols, w, coeff, d, ot, os, pieces, m)
 
 
 class TestPiecewiseSolutionAtNodes:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,16 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="b = 0"):
             builtin(name, b=0.0)
 
+    @pytest.mark.parametrize("name", ["plant", "plant-coupled"])
+    def test_negative_b_is_refused(self, name):
+        with pytest.raises(ValueError, match=r"b = -0\.5 is outside 0 < b <= 1"):
+            builtin(name, b=-0.5)
+
+    def test_b_above_one_keeps_its_root(self):
+        # outside the documented range, but [-10, 10] brackets a root
+        v = plant_v0(0.7, 1.5)
+        assert abs(v - v**3 / 3.0 - (v + 0.7) / 1.5) <= 1e-13
+
     def test_zero_gamma_is_too_small(self):
         with pytest.raises(ValueError, match="gamma=0.0 is too small"):
             builtin("quadratic-re", gamma=0.0)
@@ -491,6 +502,17 @@ class TestOrbitGuess:
         with pytest.raises(ValueError, match=r"y0 has shape \(2,\), expected \(1,\)"):
             integrate_orbit_guess(builtin("logistic").problem, [1.15, 1.0],
                                   t_settle=40.0)
+
+    def test_blow_up_is_named(self):
+        # y' = y^2 from y = 1 reaches infinity at t = 1; the overflow stays
+        # silent and the first time with a non-finite state is named
+        problem = NonlinearProblem(name="square", d_x=0, d_y=1, tau=1.0,
+                                   rhs=lambda u: u(0.0) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError,
+                               match=r"orbit guess blew up: the state is not finite from t = 1\.3$"):
+                integrate_orbit_guess(problem, [1.0], t_settle=40.0)
 
     def test_rhs_result_of_wrong_shape(self):
         problem = NonlinearProblem(name="wide", d_x=0, d_y=1, tau=1.0,

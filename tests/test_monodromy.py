@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from oracles import (dense_monodromy, dense_multipliers, restrict, rk4_method_of_steps,
-                     scattered_monodromy, searchsorted_groups)
-from pwfloquet.interp import breakpoint_weights
+                     scattered_monodromy, searchsorted_groups, triple_row_sums)
+from pwfloquet.interp import breakpoint_weights, row_sums
 from pwfloquet.mesh import Mesh, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
@@ -461,8 +462,8 @@ class TestCausality:
 
         def leaky(self):
             # one pair of the first row on the last forward node
-            self.triples["A2"].append((np.array([0]), np.array([self.grid.forward.n - 1]),
-                                       np.array([1e-300])))
+            self.chunks["A2"].append((np.array([0]), np.array([[self.grid.forward.n - 1]]),
+                                      np.array([[1e-300]])))
             return run(self)
 
         monkeypatch.setattr(monodromy._Assembler, "run", leaky)
@@ -475,8 +476,8 @@ class TestCausality:
 
         def leaky(self):
             # the first row reads int_0^{t_1} Z, which holds its own piece
-            self.triples["A2"].append((np.array([0]), np.array([self.grid.forward.n + 1]),
-                                       np.array([1e-300])))
+            self.chunks["A2"].append((np.array([0]), np.array([[self.grid.forward.n + 1]]),
+                                      np.array([[1e-300]])))
             return run(self)
 
         monkeypatch.setattr(monodromy._Assembler, "run", leaky)
@@ -486,11 +487,23 @@ class TestCausality:
 
 
 def _assert_groups_match_searchsorted(disc):
-    """Every block's row groups equal the binary-search construction."""
-    assembler = monodromy._Assembler(disc.equation, disc.grid)
-    for name, block in assembler.run().items():
+    """Every block's row groups equal the binary-search construction from the
+    triples of ``triple_row_sums``, computed beside each call's row chunks."""
+    assembler, triples = monodromy._Assembler(disc.equation, disc.grid), {}
+
+    def recorded(*args):
+        chunks = row_sums(*args)
+        if chunks:  # a call without chunks has no nonzero triple
+            triples[id(chunks[0])] = triple_row_sums(*args)
+        return chunks
+
+    with mock.patch.object(monodromy, "row_sums", recorded):
+        blocks = assembler.run()
+    for name, block in blocks.items():
         side = disc.grid.history if name[0] == "B" else disc.grid.forward
-        want = searchsorted_groups(block.shape, side, disc.equation.d, assembler.triples[name])
+        want = searchsorted_groups(block.shape, side, disc.equation.d,
+                                   [triples[id(c)] for c in assembler.chunks[name]
+                                    if id(c) in triples])
         assert len(block.groups) == len(want)
         for (rows, cols, w), (rows_ref, cols_ref, w_ref) in zip(block.groups, want):
             assert rows == rows_ref
@@ -632,7 +645,8 @@ class TestCausalSystem:
 
     def test_plant_assembly_peak_memory(self):
         # X (2464 x 522) is 10.3 MB; a dense A1 as large, the stacked B2 X and
-        # the concatenated triples of A2 took the peak to 30.0 MB
+        # the concatenated triples of A2 took the peak to 30.0 MB, and the
+        # causal system's per-piece inverses, kept beside T_cols, to 22.0 MB
         from pwfloquet.model import data_path, read_solution
 
         sol = read_solution(data_path("plant_solution.sol"))
@@ -643,7 +657,7 @@ class TestCausalSystem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 26e6
+        assert peak < 21e6
 
 
 class TestCallbackConvention:
