@@ -120,8 +120,8 @@ class _System:
     """Fixed tables, the residual map and its Jacobian for one BVP instance.
 
     The unknowns are the nodal values of the profile on the uniform nodes of
-    the BVP mesh, node-major (node ``j`` of piece ``i`` is global node
-    ``i m + j``), followed by the period ``w``. Every evaluation of the
+    the BVP mesh, node-major in the layout of ``side.pieces``, followed by
+    the period ``w``. Every evaluation of the
     profile, in the residual and in the Jacobian, goes through the
     interpolation weights of ``prolong_pairs`` on that grid side.
     """
@@ -139,7 +139,7 @@ class _System:
         self.n_nodes = n = L * m + 1
         self.n_unknowns = d * n + 1
         h = np.diff(b)
-        self.piece_cols = np.arange(L)[:, None] * m + np.arange(m + 1)  # (L, m+1)
+        cols = self.side.pieces  # (L, m+1)
         zeta = _collocation_points(bvp.colloc_kind, m)
         self.colloc = (b[:-1, None] + h[:, None] * zeta).ravel()
         npts = L * m
@@ -150,12 +150,11 @@ class _System:
         # (renewal) or derivative (differential) minus the scaled right-hand
         # side, then periodicity p(0) = p(1), then the phase condition
         self.linear = np.zeros((self.n_unknowns, n * d))
-        colloc = self.linear[: npts * d].reshape(L, m, d, n, d)
+        rows = self.linear[: npts * d].reshape(L, m, d, n, d)
         lz = lagrange_matrix(table, zeta)
         ops = (lz, lz @ table.diff / h[:, None, None])
-        pieces, rows = np.arange(L)[:, None, None], np.arange(m)[None, :, None]
         for k in range(d):
-            colloc[pieces, rows, k, self.piece_cols[:, None, :], k] = ops[k >= bvp.problem.d_x]
+            np.put_along_axis(rows[:, :, k, :, k], cols[:, None], ops[k >= bvp.problem.d_x], -1)
         period = self.linear[npts * d: npts * d + d].reshape(d, n, d)
         period[np.arange(d), 0, np.arange(d)] = 1.0
         period[np.arange(d), n - 1, np.arange(d)] = -1.0
@@ -169,8 +168,8 @@ class _System:
             gq, gw = gauss_rule(m + 1)
             wq = lagrange_matrix(table, gq)
             qprime = np.einsum("qj,ijd->iqd", wq @ table.diff,
-                               ref_nodal[self.piece_cols]) / h[:, None, None]
-            np.add.at(phase, self.piece_cols,
+                               ref_nodal[cols]) / h[:, None, None]
+            np.add.at(phase, cols,
                       np.einsum("qj,iqd,q,i->ijd", wq, qprime, gw, h))
         elif bvp.phase == "fixed":
             phase[0, 0] = 1.0
@@ -179,7 +178,7 @@ class _System:
             raise ValueError(f"unknown phase condition {bvp.phase!r}")
 
     def nodal_view(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.n_nodes, self.d)[self.piece_cols]  # (L, m+1, d)
+        return flat.reshape(self.n_nodes, self.d)[self.side.pieces]  # (L, m+1, d)
 
     def values_at(self, p: np.ndarray, s) -> np.ndarray:
         """The profile with nodal values ``p`` at ``s`` (mod 1), elementwise."""
@@ -219,7 +218,7 @@ class _System:
         jac[:, :-1] = self.linear
         jac[: g.size, -1] = -np.where(self.differential, g, 0.0).ravel()
         # p' on every piece, as nodal values of the piece's own polynomial
-        dp = PiecewiseSolution(self.side.breakpoints, p[self.piece_cols]).derivative().values
+        dp = PiecewiseSolution(self.side.breakpoints, self.nodal_view(p)).derivative().values
         t = w * self.colloc
         discrete, distributed = self.problem.linearize_terms(
             lambda tt: self.values_at(p, np.asarray(tt, float) / w), w)

@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,19 +191,24 @@ def _linear_equation(cfg: RunConfig, built: model.Builtin):
 
 def _mesh_source(spec: str) -> tuple[str, object]:
     """``(kind, value)`` of a mesh source: ``solution``, ``uniform:<L>``,
-    ``refined:<hmax>``, ``refined:auto`` (value None) or ``file:<path>``."""
+    ``refined:<hmax>`` with ``hmax > 0``, ``refined:auto`` (value None) or
+    ``file:<path>`` (value the mesh, read here): all before any orbit."""
     kind, colon, value = spec.partition(":")
+    if colon and kind == "file":
+        return kind, read_mesh(value)
     try:
-        if spec == "solution" or colon and kind == "file":
+        if spec == "solution":
             return kind, value
-        if colon and kind == "refined":
-            return kind, None if value in ("", "auto") else float(value)
+        if colon and kind == "refined" and value in ("", "auto"):
+            return kind, None
+        if colon and kind == "refined" and float(value) > 0.0:  # nan fails too
+            return kind, float(value)
         if kind == "uniform" and int(value) >= 1:
             return kind, int(value)
     except ValueError:
         pass
     raise ConfigError(f"unknown mesh source {spec!r} (expected solution, uniform:<L> with "
-                      "L >= 1, refined:<hmax|auto> or file:<path>)")
+                      "L >= 1, refined:<hmax|auto> where hmax must be positive, or file:<path>)")
 
 
 def _monodromy_mesh(source: tuple[str, object], eq, solution) -> Mesh:
@@ -210,7 +216,7 @@ def _monodromy_mesh(source: tuple[str, object], eq, solution) -> Mesh:
     if kind == "uniform":
         return Mesh(np.linspace(0.0, eq.omega, value + 1))
     if kind == "file":
-        return read_mesh(value).over_period(eq.omega)
+        return value.over_period(eq.omega)
     if not isinstance(solution, model.PiecewiseSolution):
         raise ConfigError(f"mesh source {kind!r} needs a piecewise solution "
                           "(use uniform:<L> or file:<path>)")
@@ -381,6 +387,7 @@ def cmd_mesh_info(path: str) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)  # main and _load_config share one parser per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pwfloquet",
                      description="Floquet multipliers of periodic delay equations "
@@ -432,9 +439,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "mesh-info":
             return cmd_mesh_info(args.path)
         cfg = _apply_overrides(_load_config(args.config), args)

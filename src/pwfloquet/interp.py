@@ -146,8 +146,7 @@ def _locate(side: GridSide, t: np.ndarray):
     b = side.breakpoints
     i = side.piece_of(t)
     x = np.clip((t - b[i]) / (b[i + 1] - b[i]), 0.0, 1.0)
-    m = side.family.degree
-    return i, x, i[..., None] * m + np.arange(m + 1)
+    return i, x, side.pieces[i]
 
 
 def prolong_pairs(side: GridSide, t) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +217,8 @@ def integral_weights(side: GridSide, upper):
 def breakpoint_weights(side: GridSide) -> np.ndarray:
     """Weights of the exact integrals of the interpolant from the side's
     start to each breakpoint: shape ``(P + 1, n)``, the first row zero."""
-    m = side.family.degree
-    pieces = np.arange(side.P)[:, None]
     full = np.zeros((side.P + 1, side.n))
-    full[pieces + 1, pieces * m + np.arange(m + 1)] = (
+    full[np.arange(1, side.P + 1)[:, None], side.pieces] = (
         np.diff(side.breakpoints)[:, None] * bary_table(side.family).quad)
     return np.cumsum(full, axis=0)
 

@@ -10,7 +10,8 @@ kept whole when its left end coincides with ``-tau`` (within
 ``COINCIDENCE_RTOL``); otherwise it is truncated at ``-tau`` and renoded with
 the same family, or, if it would be a sliver narrower than ``SLIVER_RTOL *
 omega``, dropped in favour of its right neighbour renoded on ``[-tau, its
-right end]``. Each side is built from one ``(P, M + 1)`` array of piece nodes.
+right end]``. Each side is built from one ``(P, M + 1)`` array of piece nodes;
+its layout, the one every module indexes with, is ``GridSide.pieces``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ SLIVER_RTOL = 1e-10
 _MAX_PIECES = 1_000_000
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -147,14 +148,15 @@ class GridSide:
     """One side of a collocation grid: pieces with shared endpoint nodes.
 
     Every piece carries ``M + 1`` nodes; adjacent pieces share the breakpoint
-    node, stored once, so the global index of node ``j`` of piece ``i`` is
-    ``i * M + j`` and there are ``P * M + 1`` distinct nodes in total.
+    node, stored once, so there are ``P * M + 1`` distinct nodes in total.
+    ``pieces[i, j]`` is the global index of node ``j`` of piece ``i``.
     """
 
     label: str
     breakpoints: np.ndarray
     family: NodeFamily
     nodes: np.ndarray
+    pieces: np.ndarray
 
     @property
     def P(self) -> int:
@@ -203,8 +205,10 @@ def _side(label: str, pieces: np.ndarray, family: NodeFamily) -> GridSide:
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError(f"degenerate {label} grid: nodes are not strictly increasing")
     breakpoints = np.append(pieces[0, 0], pieces[:, -1])
+    m = family.degree
+    index = np.arange(len(pieces))[:, None] * m + np.arange(m + 1)
     return GridSide(label=label, breakpoints=_readonly(breakpoints), family=family,
-                    nodes=_readonly(nodes))
+                    nodes=_readonly(nodes), pieces=_readonly(index, int))
 
 
 def build_forward_grid(mesh: Mesh, family: NodeFamily) -> GridSide:
@@ -284,15 +288,15 @@ def refine_mesh(mesh: Mesh, hmax: float) -> Mesh:
     return Mesh(np.append(t, b[-1]))
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a text file, ``#`` comments and blank lines dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line for raw in fh if (line := raw.split("#", 1)[0].strip())]
+
+
 def read_mesh(path) -> Mesh:
     """Read a mesh file: one breakpoint per line, ``#`` comments allowed."""
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                pts.append(float(line))
-    return Mesh(np.array(pts))
+    return Mesh(np.array([float(line) for line in _text_lines(path)]))
 
 
 def write_mesh(mesh: Mesh, path, header: str | None = None) -> None:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .interp import bary_table, gauss_rule, prolong_pairs
-from .mesh import UNIFORM, GridSide, Mesh, build_forward_grid, reference_nodes
+from .mesh import UNIFORM, GridSide, Mesh, _text_lines, build_forward_grid, reference_nodes
 
 __all__ = [
     "DiscreteTerm",
@@ -242,13 +242,19 @@ class PiecewiseSolution:
     def validate(self) -> None:
         """Check continuity across breakpoints and periodicity, to 1e-10
         relative to the largest value (or absolute below 1)."""
-        scale = 1e-10 * max(1.0, float(np.abs(self.values).max()))
-        left = self.values[:-1, -1, :]
-        right = self.values[1:, 0, :]
-        if np.abs(left - right).max() > scale:
-            raise ValueError("solution is discontinuous across a breakpoint")
-        if np.abs(self.values[0, 0] - self.values[-1, -1]).max() > scale:
+        if np.abs(self.values[0, 0] - self.values[-1, -1]).max() > self._check_joins():
             raise ValueError("solution is not periodic")
+
+    def _check_joins(self) -> float:
+        """Raise a ValueError naming the first interior breakpoint where the
+        pieces jump by more than ``validate``'s tolerance; return it."""
+        scale = 1e-10 * max(1.0, float(np.abs(self.values).max()))
+        jump = np.abs(self.values[:-1, -1] - self.values[1:, 0]).max(axis=-1, initial=0.0)
+        if jump.max(initial=0.0) > scale:
+            k = np.argmax(jump > scale) + 1
+            raise ValueError(f"solution is discontinuous across breakpoint {k} "
+                             f"(t = {float(self.breakpoints[k])!r}): jump {jump[k - 1]:.3g}")
+        return scale
 
 
 def sample_solution(fn, omega: float, mesh: Mesh, degree: int) -> PiecewiseSolution:
@@ -257,9 +263,7 @@ def sample_solution(fn, omega: float, mesh: Mesh, degree: int) -> PiecewiseSolut
     omega]``. ``mesh`` may span [0, 1] (then scaled by ``omega``) or [0, omega].
     """
     side = build_forward_grid(mesh.over_period(omega), reference_nodes(UNIFORM, degree))
-    vals = nodal_values(fn, side.nodes)
-    pieces = np.arange(side.P)[:, None] * degree + np.arange(degree + 1)
-    return PiecewiseSolution(side.breakpoints, vals[pieces])
+    return PiecewiseSolution(side.breakpoints, nodal_values(fn, side.nodes)[side.pieces])
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,23 +828,15 @@ def write_solution(solution: PiecewiseSolution, path) -> None:
         for t in solution.breakpoints:
             fh.write(f"{float(t)!r}\n")
         fh.write("values\n")
-        for i in range(solution.L):
-            for j in range(solution.degree + 1):
-                fh.write(" ".join(f"{float(v)!r}" for v in solution.values[i, j]))
-                fh.write("\n")
+        for row in solution.values.reshape(-1, solution.d):  # piece by piece, node by node
+            fh.write(" ".join(f"{float(v)!r}" for v in row) + "\n")
 
 
 def read_solution(path) -> PiecewiseSolution:
-    """Read the structured text solution format; a missing header key or a
-    file that ends early raises a ValueError naming what is missing."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line)
+    """Read the structured text solution format; a missing header key, a file
+    that ends early and pieces that do not join raise ValueErrors naming them."""
     head = {}
-    it = iter(tokens)
+    it = iter(_text_lines(path))
     for line in it:
         key, _, rest = line.partition(" ")
         if key == "breakpoints":
@@ -872,6 +868,7 @@ def read_solution(path) -> PiecewiseSolution:
     sol = PiecewiseSolution(bps, vals, head.get("nodes", UNIFORM))
     if abs(sol.omega - float(head["omega"])) > 1e-12 * max(1.0, sol.omega):
         raise ValueError("solution file omega does not match the breakpoints")
+    sol._check_joins()  # not periodicity: a solve to tol leaves a gap of up to tol
     return sol
 
 

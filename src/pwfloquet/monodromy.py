@@ -261,20 +261,19 @@ class _Assembler:
 
 class _Block:
     """A block as row groups ``(rows, columns, dense values)``, one per piece
-    of the rows' side, each dense over the columns its nonzero values touch.
-    Each row chunk (none names a ``(row, column)`` twice) is summed into the
-    span of values it touches: the bits of one sum over all the nonzero
-    entries."""
+    of the rows' side (its nodes after the first, piece 0's first too), each
+    dense over the columns its nonzero values touch. No row chunk names a
+    ``(row, column)`` twice, so each adds its nonzero values in place, chunk
+    after chunk: the bits of one sum over all of them."""
 
     def __init__(self, shape, side, d: int, chunks):
-        # piece i owns nodes i M + 1 ... (i + 1) M, piece 0 also node 0
-        edges = np.r_[0, d * (np.arange(1, side.P + 1) * side.family.degree + 1)]
+        edges = np.r_[0, d * (side.pieces[:, -1] + 1)]
         # no sort: a (group, column) mask numbers the columns of each group;
         # it is indexed flat, at group * shape[1] + column
         mask = np.zeros(side.P * shape[1], bool)
         placed = []
         for rows, cols, vals in chunks:
-            group = np.maximum(rows // d - 1, 0) // side.family.degree
+            group = edges.searchsorted(rows, "right") - 1
             live = vals != 0.0
             live = ... if live.all() else live  # a view where no value is zero
             mask[((group * shape[1])[:, None] + cols)[live]] = True
@@ -286,11 +285,7 @@ class _Block:
         dense = np.zeros((nrows * count).sum())
         for (_, cols, vals), (group, offset, live) in zip(chunks, placed):
             first = start[group] + offset * count[group]
-            flat = (first[:, None] + pos[(group * shape[1])[:, None] + cols])[live].ravel()
-            vals = vals[live].ravel()
-            if flat.size:
-                span = dense[flat.min():flat.max() + 1]
-                span += np.bincount(flat - flat.min(), vals, minlength=span.size)
+            dense[(first[:, None] + pos[(group * shape[1])[:, None] + cols])[live]] += vals[live]
         self.shape = shape
         self.groups = [(slice(r, r + n), np.flatnonzero(m), dense[a:a + n * c].reshape(n, c))
                        for r, m, a, n, c in zip(edges, mask, start, nrows, count)]

@@ -27,8 +27,9 @@ its own block forward substitution, the diagonal inverse applied after the
 off-diagonal products, which the library's folded one matches to roundoff.
 ``loop_forward_grid``, ``loop_history_grid`` and ``loop_refine_mesh`` keep
 the earlier piece-by-piece grid and refinement builders (the history side by
-a right-to-left walk over windows of ``omega``), which the library's array
-builders must reproduce bit for bit, errors included.
+a right-to-left walk over windows of ``omega``, each piece's node indices
+counted from where the piece before ends), which the library's array
+builders must reproduce bit for bit, the piece layout and errors included.
 """
 
 import numpy as np
@@ -80,7 +81,7 @@ def dense_jacobian(sys, state, g):
     npts, d = sys.colloc.size, sys.d
     jp = np.zeros((npts, d, sys.n_nodes, d))
     dgdw = np.zeros((npts, d))
-    dp = PiecewiseSolution(sys.side.breakpoints, p[sys.piece_cols]).derivative().values
+    dp = PiecewiseSolution(sys.side.breakpoints, p[sys.side.pieces]).derivative().values
 
     def add(term, c, s, dsdw, coeff):
         ot, os = sys.problem.block_offset(term.target), sys.problem.block_offset(term.source)
@@ -256,7 +257,13 @@ def _finish_side(label, pieces, family):
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError(f"degenerate {label} grid: nodes are not strictly increasing")
     breakpoints = np.array([p[0] for p in pieces] + [pieces[-1][-1]])
-    return GridSide(label=label, breakpoints=breakpoints, family=family, nodes=nodes)
+    # each piece's node indices start at the last node of the piece before
+    index, start = [], 0
+    for p in pieces:
+        index.append(np.arange(start, start + len(p)))
+        start += len(p) - 1
+    return GridSide(label=label, breakpoints=breakpoints, family=family, nodes=nodes,
+                    pieces=np.array(index))
 
 
 def loop_forward_grid(mesh, family):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pwfloquet.cli import _INI_FLAGS, _apply_overrides, _build_parser, _load_config, main
-from pwfloquet.model import data_path, read_solution
+from pwfloquet.model import data_path, read_solution, write_solution
 
 
 def run(argv):
@@ -532,6 +532,13 @@ class TestExitCodes:
         (["multipliers", "--mesh", "refined:abc"], "unknown mesh source 'refined:abc'"),
         (["multipliers", "--mesh", "refined"], "unknown mesh source 'refined'"),
         (["multipliers", "--mesh", "uniform:0"], "unknown mesh source 'uniform:0'"),
+        (["multipliers", "--mesh", "refined:-1"], "unknown mesh source 'refined:-1'"),
+        (["multipliers", "--mesh", "refined:nan"], "unknown mesh source 'refined:nan'"),
+        (["multipliers", "--mesh", "file:"], "No such file or directory: ''"),
+        (["multipliers", "--mesh", "file:/nonexistent.mesh"],
+         "No such file or directory: '/nonexistent.mesh'"),
+        (["multipliers", "--mesh", f"file:{data_path('plant_solution.sol')}"],
+         "could not convert string to float"),
         (["multipliers", "-M", "0"], "degree must be >= 1"),
         (["multipliers", "-m", "0"], "degree must be >= 1"),
         (["solve", "-m", "0"], "degree must be >= 1"),
@@ -562,6 +569,8 @@ class TestExitCodes:
         (["multipliers", "--problem", "plant-coupled", "--tau", "0"],
          "configuration error: tau must be positive"),
     ], ids=["mesh-foo", "mesh-uniform-abc", "mesh-refined-abc", "mesh-refined", "mesh-uniform-0",
+            "mesh-refined-negative", "mesh-refined-nan", "mesh-file-empty",
+            "mesh-file-missing", "mesh-file-malformed",
             "M-0", "m-0", "solve-m-0", "solve-L-negative", "reference-foo", "reference-self-2",
             "vary-L-on-the-solution-mesh", "values-0", "fixed-0", "reference-self-0",
             "plant-b-0", "plant-coupled-b-0", "plant-b-negative", "plant-coupled-b-negative",
@@ -586,6 +595,18 @@ class TestExitCodes:
                 "--reference", "self:2,20", "--track", track]
         assert run(argv) == 3
         assert "--track" in capsys.readouterr().err
+
+    def test_solution_file_with_a_jump_is_config_error(self, tmp_path, capsys):
+        # pieces that do not join are not an orbit: refused, not linearized
+        sol = read_solution(data_path("plant_solution.sol"))
+        values = sol.values.copy()
+        values[3, -1, 0] += 0.5
+        path = tmp_path / "jump.sol"
+        write_solution(type(sol)(sol.breakpoints, values), path)
+        assert run(["multipliers", "--problem", "plant", "-M", "6",
+                    "--solution-file", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "configuration error: solution is discontinuous across breakpoint 4" in err
 
     def test_truncated_solution_file_is_config_error(self, tmp_path, capsys):
         lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
@@ -612,6 +633,9 @@ class TestConfigHash:
         assert list(from_flags.params) == ["r", "tau"]
         assert vars(from_file) == vars(from_flags)
         assert from_file.hash() == from_flags.hash()
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
 
     def test_single_parameter_hash_is_unchanged(self):
         # the README logistic command; its hash predates the sorting

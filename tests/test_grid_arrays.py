@@ -1,6 +1,7 @@
 """The array builders of ``pwfloquet.mesh`` against the piece-by-piece loop
-builders kept in ``tests/oracles.py``: nodes, breakpoints and errors must
-agree bit for bit, at the coincidence and sliver tolerances included."""
+builders kept in ``tests/oracles.py``: nodes, breakpoints, the piece layout
+and errors must agree bit for bit, at the coincidence and sliver tolerances
+included."""
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ FAMILIES = [reference_nodes(kind, m) for kind in (CHEBYSHEV, UNIFORM) for m in r
 
 
 def outcome(build, *args):
-    """Nodes and breakpoints as bytes, or the error's type and message."""
+    """Nodes, breakpoints and the piece layout as bytes, or the error's type
+    and message."""
     try:
         result = build(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
     if isinstance(result, Mesh):
         return result.breakpoints.tobytes()
-    return result.nodes.tobytes(), result.breakpoints.tobytes()
+    return (result.nodes.tobytes(), result.breakpoints.tobytes(), result.pieces.shape,
+            result.pieces.tobytes())
 
 
 def assert_sides_match(mesh, family, tau):
@@ -93,6 +96,26 @@ def test_degenerate_history_grid_raises_the_same_error():
     family = reference_nodes(CHEBYSHEV, 8)
     assert outcome(build_history_grid, mesh, family, 19.5)[0] is ValueError
     assert_sides_match(mesh, family, 19.5)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-{f.degree}")
+@pytest.mark.parametrize("tau, first", [(1.5, [-1.5, -0.8]), (1.0, [-1.0, -0.8]),
+                                        (1.5 + 1e-11, [-1.5 - 1e-11, -0.8]),
+                                        (5.3, [-5.3, -4.8])],
+                         ids=["whole", "truncated", "sliver-merged", "three-windows"])
+def test_piece_layout(family, tau, first):
+    # node j of piece i is at pieces[i, j] on both sides, as the loop
+    # builders number them; the sliver of width 1e-11 is merged away
+    mesh = Mesh([0.0, 0.5, 1.2, 2.0])
+    pairs = [(build_forward_grid(mesh, family), loop_forward_grid(mesh, family)),
+             (build_history_grid(mesh, family, tau), loop_history_grid(mesh, family, tau))]
+    assert np.array_equal(pairs[1][0].breakpoints[:2], first)
+    for side, loop in pairs:
+        assert side.pieces.shape == (side.P, family.degree + 1)
+        assert np.array_equal(side.pieces, loop.pieces)
+        assert np.array_equal(side.nodes[side.pieces[:, [0, -1]]],
+                              np.c_[side.breakpoints[:-1], side.breakpoints[1:]])
+        assert not side.pieces.flags.writeable
 
 
 @settings(max_examples=300, deadline=None)

@@ -280,6 +280,27 @@ class TestSolutionIO:
         write_solution(back, p2)
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_pieces_that_do_not_join_are_refused(self, tmp_path):
+        sol = read_solution(data_path("plant_solution.sol"))
+        values = sol.values.copy()
+        values[3, -1, 0] += 0.5
+        p = tmp_path / "jump.sol"
+        write_solution(type(sol)(sol.breakpoints, values), p)
+        with pytest.raises(ValueError, match=r"discontinuous across breakpoint 4 "
+                                             r"\(t = 0\.8620513269144764\): jump 0\.5"):
+            read_solution(p)
+
+    def test_a_periodicity_gap_is_read(self, tmp_path):
+        # a solve to tol 1e-6 may end up to tol away from where it started
+        sol = read_solution(data_path("plant_solution.sol"))
+        values = sol.values.copy()
+        values[-1, -1, 0] += 1e-6
+        p = tmp_path / "gap.sol"
+        write_solution(type(sol)(sol.breakpoints, values), p)
+        assert np.array_equal(read_solution(p).values, values)
+        with pytest.raises(ValueError, match="not periodic"):
+            read_solution(p).validate()
+
     def test_missing_header_key_is_named(self, tmp_path):
         text = data_path("plant_solution.sol").read_text()
         p = tmp_path / "s.sol"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from oracles import (dense_monodromy, dense_multipliers, restrict, rk4_method_of_steps,
                      scattered_monodromy, searchsorted_groups, triple_row_sums)
 from pwfloquet.interp import breakpoint_weights, row_sums
-from pwfloquet.mesh import Mesh, chebyshev_family
+from pwfloquet.mesh import Mesh, build_forward_grid, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
     DistributedTerm,
@@ -564,6 +564,29 @@ class TestStructuredBlocks:
         mesh = Mesh(np.unique(np.round([0.0, 1.0] + inner, 3)))
         _assert_structure_matches_dense(
             assemble(eq, mesh, chebyshev_family(M), enforce="ignore"))
+
+    def test_chunks_naming_one_entry_sum_in_chunk_order(self):
+        # no chunk names a (row, column) twice, but two chunks may: their
+        # values are summed chunk after chunk, as one bincount over the
+        # triples does; 1 + 1e-16 + 1e-16 rounds to 1 in that order only
+        side = build_forward_grid(Mesh([0.0, 1.0, 2.5]), chebyshev_family(2))
+        chunks = [(np.array([0, 2, 3]), np.array([[0, 1], [1, 2], [4, 2]]),
+                   np.array([[0.5, -2.0], [1.0, 3.0], [0.25, 0.0]])),
+                  (np.array([2, 4]), np.array([[1, 3], [4, 0]]),
+                   np.array([[1e-16, 0.0], [0.75, -1.5]])),
+                  (np.array([2]), np.array([[1]]), np.array([[1e-16]]))]
+        block = monodromy._Block((side.n, 6), side, 1, chunks)
+        triples = []
+        for rows, cols, vals in chunks:
+            live = vals != 0.0
+            triples.append((np.broadcast_to(rows[:, None], cols.shape)[live], cols[live],
+                            vals[live]))
+        want = searchsorted_groups((side.n, 6), side, 1, triples)
+        assert block.groups[0][2][2, 1] == 1.0
+        assert len(block.groups) == len(want) == 2
+        for (rows, cols, w), (rows_ref, cols_ref, w_ref) in zip(block.groups, want):
+            assert rows == rows_ref
+            assert np.array_equal(cols, cols_ref) and np.array_equal(w, w_ref)
 
 
 class TestDenseOracle:
