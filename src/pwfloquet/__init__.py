@@ -55,7 +55,6 @@ from .bvp import (
     BvpResult,
     ConvergenceError,
     SingularJacobianError,
-    residual,
     solve_periodic,
 )
 from .monodromy import (

@@ -4,8 +4,9 @@ The problem is rescaled to [0, 1]: the unknowns are the values of a
 continuous piecewise polynomial at equidistant nodes per piece, plus the
 period. Equations are the delay equation collocated at per-piece Gauss
 (or Chebyshev) points, the periodicity constraint ``p(0) = p(1)``, and one
-scalar phase condition removing the time-translation degeneracy. The
-periodicity and phase rows are linear and built once. The profile is
+scalar phase condition removing the time-translation degeneracy, whose
+reference is the starting guess. The guess is sampled once, at the nodes.
+The periodicity and phase rows are linear and built once. The profile is
 evaluated anywhere through the interpolation weights of ``prolong_pairs``.
 
 The square nonlinear system is solved by a damped Newton-type iteration
@@ -59,7 +60,6 @@ __all__ = [
     "CHEBYSHEV_ZEROS",
     "solve_periodic",
     "check_newton_settings",
-    "residual",
 ]
 
 GAUSS_LEGENDRE = "gauss-legendre"
@@ -83,11 +83,11 @@ class BvpProblem:
     """Setup for one periodic solve.
 
     ``mesh`` partitions [0, 1]; ``guess_profile(s)`` supplies the initial
-    profile on [0, 1] (a PiecewiseSolution over its own period is rescaled).
-    ``phase_reference`` defaults to the initial guess. Profiles are
-    elementwise: they are called once, with the array ``s`` of all
-    ``L m + 1`` nodes, and return shape ``s.shape + (d,)`` (or ``s.shape``
-    when ``d == 1``); any other shape raises a ValueError naming both.
+    profile on [0, 1] (a PiecewiseSolution over its own period is rescaled),
+    which is also the reference of the phase condition. It is elementwise:
+    called once per solve, with the array ``s`` of all ``L m + 1`` nodes, it
+    returns shape ``s.shape + (d,)`` (or ``s.shape`` when ``d == 1``); any
+    other shape raises a ValueError naming both.
     """
 
     problem: NonlinearProblem
@@ -97,7 +97,6 @@ class BvpProblem:
     guess_profile: Callable | PiecewiseSolution
     colloc_kind: str = GAUSS_LEGENDRE
     phase: str = "integral"  # or "fixed"
-    phase_reference: Callable | PiecewiseSolution | None = None
 
 
 @dataclass
@@ -121,7 +120,8 @@ class _System:
 
     The unknowns are the nodal values of the profile on the uniform nodes of
     the BVP mesh, node-major in the layout of ``side.pieces``, followed by
-    the period ``w``. Every evaluation of the
+    the period ``w``; ``start``, the guess sampled once in that layout, is
+    the first iterate and the phase reference. Every evaluation of the
     profile, in the residual and in the Jacobian, goes through the
     interpolation weights of ``prolong_pairs`` on that grid side.
     """
@@ -129,14 +129,14 @@ class _System:
     def __init__(self, bvp: BvpProblem):
         self.problem = bvp.problem
         self.d = d = bvp.problem.d
-        self.m = m = bvp.degree
+        m = bvp.degree
         b, L = bvp.mesh.breakpoints, bvp.mesh.L
         if abs(b[0]) > 1e-14 or abs(b[-1] - 1.0) > 1e-14:
             raise ValueError("the BVP mesh must span [0, 1]")
         self.side = build_forward_grid(Mesh(b - b[0]), reference_nodes(UNIFORM, m))
         b = self.side.breakpoints
         table = bary_table(self.side.family)
-        self.n_nodes = n = L * m + 1
+        n = self.side.n
         self.n_unknowns = d * n + 1
         h = np.diff(b)
         cols = self.side.pieces  # (L, m+1)
@@ -160,8 +160,8 @@ class _System:
         period[np.arange(d), n - 1, np.arange(d)] = -1.0
         self.offset = np.zeros(self.n_unknowns)
 
-        # the phase reference defaults to the guess
-        ref_nodal = _initial_state(self, bvp, bvp.phase_reference)[:-1].reshape(n, d)
+        self.start = _initial_state(self, bvp)
+        ref_nodal = self.start[:-1].reshape(n, d)
         phase = self.linear[-1].reshape(n, d)
         if bvp.phase == "integral":
             # <p, q'> with q the reference: per-piece Gauss rule, exact here
@@ -178,7 +178,7 @@ class _System:
             raise ValueError(f"unknown phase condition {bvp.phase!r}")
 
     def nodal_view(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.n_nodes, self.d)[self.side.pieces]  # (L, m+1, d)
+        return flat.reshape(self.side.n, self.d)[self.side.pieces]  # (L, m+1, d)
 
     def values_at(self, p: np.ndarray, s) -> np.ndarray:
         """The profile with nodal values ``p`` at ``s`` (mod 1), elementwise."""
@@ -188,7 +188,7 @@ class _System:
     def evaluate(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual and right-hand side ``g`` at the collocation points."""
         w = state[-1]
-        p = state[:-1].reshape(self.n_nodes, self.d)
+        p = state[:-1].reshape(self.side.n, self.d)
 
         # one batched right-hand-side call covering every collocation point
         def u(theta):
@@ -198,9 +198,6 @@ class _System:
         res = self.linear @ state[:-1] - self.offset
         res[: g.size] -= (np.where(self.differential, w, 1.0) * g).ravel()
         return res, g
-
-    def residual(self, state: np.ndarray) -> np.ndarray:
-        return self.evaluate(state)[0]
 
     def jacobian(self, state: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Jacobian of the residual at ``state``; ``g`` is its right-hand side.
@@ -212,7 +209,7 @@ class _System:
         derivatives are the same sums with ``p'(s + th / w) (-th / w^2)``.
         """
         w = state[-1]
-        p = state[:-1].reshape(self.n_nodes, self.d)
+        p = state[:-1].reshape(self.side.n, self.d)
         npts = self.colloc.size
         jac = np.zeros((self.n_unknowns, self.n_unknowns))
         jac[:, :-1] = self.linear
@@ -244,7 +241,7 @@ class _System:
         cols, lw = prolong_pairs(self.side, s)
         for rows, at, vals in row_sums(c, cols, lw, coeff, self.d, ot, os):
             jac[rows[:, None], at] -= vals  # no chunk names a (row, column) twice
-        slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // self.m])[:, os:os + qs]
+        slope = np.einsum("nk,nkd->nd", lw, dp[self.side.piece_of(s)])[:, os:os + qs]
         np.subtract.at(jac[:, -1], c[:, None] * self.d + ot + np.arange(pt),
                        np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
 
@@ -265,10 +262,10 @@ class _System:
         return c, s, w * (s + shifts[k] - self.colloc[c]), wq
 
 
-def _initial_state(sys: _System, bvp: BvpProblem, profile=None) -> np.ndarray:
-    """Nodal values over [0, 1] of ``profile`` (the guess profile unless
-    given), from one elementwise call, followed by the period guess."""
-    source = bvp.guess_profile if profile is None else profile
+def _initial_state(sys: _System, bvp: BvpProblem) -> np.ndarray:
+    """Nodal values over [0, 1] of the guess profile, from one elementwise
+    call, followed by the period guess."""
+    source = bvp.guess_profile
     if isinstance(source, PiecewiseSolution):
         source = lambda s, sol=source: sol(np.asarray(s) * sol.omega)
     flat = nodal_values(source, sys.side.nodes, sys.d).ravel()
@@ -295,16 +292,6 @@ def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(normal, -(a.T @ b))
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError("singular collocation Jacobian") from exc
-
-
-def residual(bvp: BvpProblem, profile_state: np.ndarray, period: float) -> np.ndarray:
-    """Residual of a candidate (nodal values, period); pure function.
-
-    ``profile_state`` holds the nodal values flattened node-major.
-    """
-    sys = _System(bvp)
-    state = np.concatenate([np.asarray(profile_state, dtype=float).ravel(), [period]])
-    return sys.residual(state)
 
 
 def check_newton_settings(tol: float, max_iters: int) -> None:
@@ -344,10 +331,11 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
         If the problem has no ``linearize_terms``.
     SingularJacobianError
         If the Jacobian has a numerically zero row or column (a constant
-        phase reference, or a right-hand side that does not see the period);
-        try a better guess or phase reference.
+        guess, which is the phase reference, or a right-hand side that does
+        not see the period); try a better guess.
     ConvergenceError
-        If the residual does not reach ``tol`` within ``max_iters``.
+        If the residual is not finite or does not reach ``tol`` within
+        ``max_iters``.
     """
     check_newton_settings(tol, max_iters)
     if bvp.problem.linearize_terms is None:
@@ -356,11 +344,11 @@ def solve_periodic(bvp: BvpProblem, tol: float = 1e-10,
             "(linearize_terms), which the Newton iteration needs"
         )
     sys = _System(bvp)
-    state = _initial_state(sys, bvp)
+    state = sys.start
     r, g = sys.evaluate(state)
     rnorm = float(np.abs(r).max())
     iterations = 0
-    while rnorm > tol:
+    while not rnorm <= tol:  # a nan residual must fail, not pass
         if not np.isfinite(rnorm):
             raise ConvergenceError("residual is not finite", rnorm)
         if iterations >= max_iters:

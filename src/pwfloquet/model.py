@@ -240,14 +240,19 @@ class PiecewiseSolution:
         return PiecewiseSolution(self.breakpoints, dv, self.node_kind)
 
     def validate(self) -> None:
-        """Check continuity across breakpoints and periodicity, to 1e-10
-        relative to the largest value (or absolute below 1)."""
+        """Check that the values are finite, continuous across breakpoints and
+        periodic, to 1e-10 relative to the largest value (or absolute below 1)."""
         if np.abs(self.values[0, 0] - self.values[-1, -1]).max() > self._check_joins():
             raise ValueError("solution is not periodic")
 
     def _check_joins(self) -> float:
-        """Raise a ValueError naming the first interior breakpoint where the
-        pieces jump by more than ``validate``'s tolerance; return it."""
+        """Raise a ValueError naming the first value that is not finite, or
+        the first interior breakpoint where the pieces jump by more than
+        ``validate``'s tolerance; return that tolerance."""
+        if not np.isfinite(self.values).all():
+            i, j, c = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(f"solution value {self.values[i, j, c]} at node {j} of piece {i} "
+                             f"(component {c}) is not finite")
         scale = 1e-10 * max(1.0, float(np.abs(self.values).max()))
         jump = np.abs(self.values[:-1, -1] - self.values[1:, 0]).max(axis=-1, initial=0.0)
         if jump.max(initial=0.0) > scale:
@@ -358,36 +363,28 @@ def nodal_values(fn, s: np.ndarray, d: int | None = None) -> np.ndarray:
     return vals
 
 
-def _solution_access(solution):
-    """Normalize a solution argument to (periodic evaluator, omega, breakpoints)."""
-    if isinstance(solution, PiecewiseSolution):
-        return solution, solution.omega, tuple(solution.breakpoints[:-1])
-    if isinstance(solution, ExactSolution):
-        return solution, solution.omega, ()
-    if isinstance(solution, tuple) and len(solution) == 2 and callable(solution[0]):
-        return solution[0], float(solution[1]), ()
-    raise TypeError("solution must be a PiecewiseSolution, ExactSolution or (callable, omega)")
-
-
-def linearize(problem: NonlinearProblem, solution) -> LinearPeriodicEquation:
+def linearize(problem: NonlinearProblem,
+              solution: PiecewiseSolution | ExactSolution) -> LinearPeriodicEquation:
     """Linearize a nonlinear problem around a periodic solution.
 
-    ``solution`` is a :class:`PiecewiseSolution`, an :class:`ExactSolution`
-    or a pair ``(callable, omega)``; the callable is elementwise like the
-    others (times of shape ``t.shape`` in, states of shape ``t.shape + (d,)``
-    out). The smoothness breakpoints of the result are the solution's mesh
-    breakpoints (a closed-form solution contributes none).
+    ``solution`` is a :class:`PiecewiseSolution`, whose mesh breakpoints
+    become the smoothness breakpoints of the result, or an
+    :class:`ExactSolution` (a closed form, elementwise like the other
+    callbacks: times of shape ``t.shape`` in, states of shape ``t.shape +
+    (d,)`` out), which contributes none.
     """
     if problem.linearize_terms is None:
         raise MissingDerivativesError(
             f"problem {problem.name!r} does not provide derivative callbacks"
         )
-    ev, omega, bps = _solution_access(solution)
-    discrete, distributed = problem.linearize_terms(ev, omega)
+    if not isinstance(solution, (PiecewiseSolution, ExactSolution)):
+        raise TypeError("solution must be a PiecewiseSolution or an ExactSolution")
+    bps = tuple(solution.breakpoints[:-1]) if isinstance(solution, PiecewiseSolution) else ()
+    discrete, distributed = problem.linearize_terms(solution, solution.omega)
     return LinearPeriodicEquation(
         d_x=problem.d_x,
         d_y=problem.d_y,
-        omega=omega,
+        omega=solution.omega,
         tau=problem.tau,
         discrete=tuple(discrete),
         distributed=tuple(distributed),
@@ -834,7 +831,8 @@ def write_solution(solution: PiecewiseSolution, path) -> None:
 
 def read_solution(path) -> PiecewiseSolution:
     """Read the structured text solution format; a missing header key, a file
-    that ends early and pieces that do not join raise ValueErrors naming them."""
+    that ends early, a value that is not finite and pieces that do not join
+    raise ValueErrors naming them."""
     head = {}
     it = iter(_text_lines(path))
     for line in it:

@@ -45,20 +45,22 @@ FD_STEP = 1e-7
 
 
 def fd_jacobian(sys, state, r0, step=FD_STEP):
-    """Forward-difference Jacobian of ``sys.residual`` at ``state``, where
-    ``r0`` is the residual there: one residual call per unknown."""
+    """Forward-difference Jacobian of the residual ``sys.evaluate(state)[0]``
+    at ``state``, where ``r0`` is the residual there: one residual call per
+    unknown."""
     n = state.size
     jac = np.empty((n, n))
     for i in range(n):
         delta = step * max(1.0, abs(state[i]))
         pert = state.copy()
         pert[i] += delta
-        jac[:, i] = (sys.residual(pert) - r0) / delta
+        jac[:, i] = (sys.evaluate(pert)[0] - r0) / delta
     return jac
 
 
 def central_jacobian(sys, state, step=1e-5):
-    """Central-difference Jacobian of ``sys.residual`` at ``state``."""
+    """Central-difference Jacobian of the residual ``sys.evaluate(state)[0]``
+    at ``state``."""
     n = state.size
     jac = np.empty((n, n))
     for i in range(n):
@@ -66,7 +68,7 @@ def central_jacobian(sys, state, step=1e-5):
         up, down = state.copy(), state.copy()
         up[i] += delta
         down[i] -= delta
-        jac[:, i] = (sys.residual(up) - sys.residual(down)) / (2 * delta)
+        jac[:, i] = (sys.evaluate(up)[0] - sys.evaluate(down)[0]) / (2 * delta)
     return jac
 
 
@@ -77,9 +79,9 @@ def dense_jacobian(sys, state, g):
     period derivative into ``(points, d)``, both scaled by the row scale
     afterwards and subtracted from the linear rows."""
     w = state[-1]
-    p = state[:-1].reshape(sys.n_nodes, sys.d)
+    p = state[:-1].reshape(sys.side.n, sys.d)
     npts, d = sys.colloc.size, sys.d
-    jp = np.zeros((npts, d, sys.n_nodes, d))
+    jp = np.zeros((npts, d, sys.side.n, d))
     dgdw = np.zeros((npts, d))
     dp = PiecewiseSolution(sys.side.breakpoints, p[sys.side.pieces]).derivative().values
 
@@ -90,7 +92,8 @@ def dense_jacobian(sys, state, g):
         np.add.at(jp, (c[:, None, None, None], ot + np.arange(pt)[:, None, None],
                        cols[:, None, :, None], os + np.arange(qs)),
                   coeff[:, :, None, :] * lw[:, None, :, None])
-        slope = np.einsum("nk,nkd->nd", lw, dp[cols[:, 0] // sys.m])[:, os:os + qs]
+        piece = cols[:, 0] // sys.side.family.degree
+        slope = np.einsum("nk,nkd->nd", lw, dp[piece])[:, os:os + qs]
         np.add.at(dgdw, (c[:, None], ot + np.arange(pt)),
                   np.einsum("nij,nj->ni", coeff, slope) * dsdw[:, None])
 

@@ -7,7 +7,7 @@ from pwfloquet.bvp import (
     BvpProblem,
     ConvergenceError,
     SingularJacobianError,
-    residual,
+    _System,
     solve_periodic,
 )
 from pwfloquet.mesh import Mesh, read_mesh
@@ -15,6 +15,7 @@ from pwfloquet.model import (
     DiscreteTerm,
     MissingDerivativesError,
     NonlinearProblem,
+    PiecewiseSolution,
     builtin,
     coupled_view_of_plant,
     data_path,
@@ -23,6 +24,12 @@ from pwfloquet.model import (
 )
 
 from oracles import central_jacobian, dense_jacobian, fd_jacobian
+
+
+def residual(bvp, p, w):
+    """The residual of ``bvp`` at the nodal values ``p`` (flat, node-major)
+    and the period ``w``."""
+    return _System(bvp).evaluate(np.concatenate([np.ravel(p), [w]]))[0]
 
 
 def quadratic_re_bvp(L=20, m=6):
@@ -120,9 +127,7 @@ class TestResidual:
 
 
 def _sample_state(bvp):
-    from pwfloquet.bvp import _System, _initial_state
-    sys = _System(bvp)
-    return _initial_state(sys, bvp)[:-1]
+    return _System(bvp).start[:-1].copy()
 
 
 class TestSingularCases:
@@ -152,6 +157,37 @@ class TestSingularCases:
             solve_periodic(bvp, max_iters=2)
 
 
+def nan_node_logistic_bvp():
+    def profile(s):
+        v = 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(s))
+        v[5] = np.nan
+        return v
+    return logistic_bvp(1.6, 10, 3, (profile, 4.0))[1]
+
+
+def nan_value_plant_bvp():
+    bvp = plant_bvp()
+    values = bvp.guess_profile.values.copy()
+    values[0, 0, 0] = np.nan  # the first value of the shipped solution file
+    bvp.guess_profile = PiecewiseSolution(bvp.guess_profile.breakpoints, values)
+    return bvp
+
+
+def nan_period_logistic_bvp():
+    return dataclasses.replace(sine_logistic_bvp(), period_guess=float("nan"))
+
+
+class TestNotFinite:
+    # nan <= tol is false, as nan > tol is: a nan residual must raise, not
+    # pass for converged at iteration 0
+    @pytest.mark.parametrize("make", [nan_node_logistic_bvp, nan_value_plant_bvp,
+                                      nan_period_logistic_bvp],
+                             ids=["logistic-node", "plant-solution", "period"])
+    def test_nan_start_is_a_convergence_error(self, make):
+        with pytest.raises(ConvergenceError, match="residual is not finite"):
+            solve_periodic(make())
+
+
 @pytest.fixture(scope="module")
 def guess():
     return builtin("logistic", r=1.6).make_guess()
@@ -167,15 +203,14 @@ class TestLogisticSolve:
     def test_fem_convergence_order(self, guess):
         # profile distance between L and 2L solutions decays with order >= m - 0.5;
         # a converged solution on the coarsest (nested) mesh serves as the
-        # shared phase reference so the phase functional is quadrature-exact
-        # and identical across runs
+        # shared guess, and so as the phase reference, so the phase
+        # functional is quadrature-exact and identical across runs
         _, pre_bvp = logistic_bvp(1.6, 10, 4, guess)
         reference = solve_periodic(pre_bvp).solution
         for m in (2, 3, 4):
             sols = {}
             for L in (10, 20, 40):
-                _, bvp = logistic_bvp(1.6, L, m, guess)
-                bvp.phase_reference = reference
+                _, bvp = logistic_bvp(1.6, L, m, (reference, reference.omega))
                 sols[L] = solve_periodic(bvp)
             ts = np.linspace(0, 1, 700, endpoint=False)
             def dist(a, b):
@@ -288,10 +323,9 @@ class TestAnalyticJacobian:
     @pytest.mark.parametrize("make", [sine_logistic_bvp, plant_bvp],
                              ids=["logistic", "plant"])
     def test_matches_finite_differences(self, make):
-        from pwfloquet.bvp import _System, _initial_state
         bvp = make()
         sys = _System(bvp)
-        state = _initial_state(sys, bvp)
+        state = sys.start.copy()
         rng = np.random.default_rng(3)
         state[:-1] += 1e-3 * rng.normal(size=state.size - 1)
         state[-1] *= 1.003
@@ -313,10 +347,9 @@ class TestAnalyticJacobian:
     ], ids=["logistic", "plant", "quadratic-re", "plant-coupled"])
     def test_matches_the_dense_oracle(self, make):
         # also where rhs uses its own quadrature and finite differences cannot
-        from pwfloquet.bvp import _System, _initial_state
         bvp = make()
         sys = _System(bvp)
-        state = _initial_state(sys, bvp)
+        state = sys.start.copy()
         state[:-1] += 1e-3 * np.random.default_rng(3).normal(size=state.size - 1)
         state[-1] *= 1.003
         g = sys.evaluate(state)[1]
@@ -360,15 +393,16 @@ class TestAnalyticJacobian:
             solve_periodic(bvp)
 
     def test_constant_phase_reference_is_singular(self):
+        # the guess is the phase reference; 1.5 is not an equilibrium, so the
+        # residual is not zero and the phase row of the Jacobian is
         bvp = sine_logistic_bvp()
-        bvp.phase_reference = lambda s: np.ones(np.shape(s))
+        bvp.guess_profile = lambda s: np.full(np.shape(s), 1.5)
         with pytest.raises(SingularJacobianError):
             solve_periodic(bvp)
 
 
 class TestInitialProfile:
     def test_profile_is_called_once_at_every_node(self):
-        from pwfloquet.bvp import _System, _initial_state
         calls = []
 
         def profile(s):
@@ -377,11 +411,12 @@ class TestInitialProfile:
 
         bvp = sine_logistic_bvp()
         bvp.guess_profile = profile
-        bvp.phase_reference = profile
         sys = _System(bvp)
-        state = _initial_state(sys, bvp)
-        assert calls == [(12 * 4 + 1,)] * 2  # the phase reference, then the guess
-        assert np.array_equal(state[:-1], profile(sys.side.nodes))
+        assert calls == [(12 * 4 + 1,)]  # the guess, which is also the phase reference
+        assert np.array_equal(sys.start[:-1], profile(sys.side.nodes))
+        calls.clear()
+        solve_periodic(bvp)
+        assert calls == [(12 * 4 + 1,)]
 
     def test_rhs_result_of_wrong_shape_is_named(self):
         # stacked on axis 0: (2, 150) for the 150 collocation points

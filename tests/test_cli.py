@@ -608,6 +608,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: solution is discontinuous across breakpoint 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["multipliers", "--problem", "plant", "-M", "6", "--solution-file"],
+        ["solve", "--problem", "plant", "--mesh-file", str(data_path("plant_adapted.mesh")),
+         "-m", "5", "--guess-file"],
+    ], ids=["multipliers-solution-file", "solve-guess-file"])
+    def test_solution_file_with_a_nan_is_config_error(self, tmp_path, capsys, argv):
+        # not a singular fixed-point system (exit 2), nor a guess that Newton
+        # passes off as converged (exit 0): the file is refused as it is read
+        lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
+        first = lines.index("values\n") + 1
+        lines[first] = "nan" + lines[first][lines[first].index(" "):]
+        path = tmp_path / "nan.sol"
+        path.write_text("".join(lines))
+        assert run(argv + [str(path), "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert ("configuration error: solution value nan at node 0 of piece 0 (component 0) "
+                "is not finite") in err
+
     def test_truncated_solution_file_is_config_error(self, tmp_path, capsys):
         lines = data_path("plant_solution.sol").read_text().splitlines(keepends=True)
         path = tmp_path / "short.sol"

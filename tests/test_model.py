@@ -13,6 +13,7 @@ from pwfloquet.model import (
     ORBIT_STEP,
     DiscreteTerm,
     DistributedTerm,
+    ExactSolution,
     LinearPeriodicEquation,
     MissingDerivativesError,
     NonlinearProblem,
@@ -98,7 +99,7 @@ class TestPlant:
     def test_linearized_coefficients(self):
         b = builtin("plant")
         sol = lambda t: np.array([0.5 * np.sin(t), 0.2 * np.cos(t)])
-        eq = linearize(b.problem, (sol, 50.0))
+        eq = linearize(b.problem, ExactSolution(sol, 50.0))
         current, delayed = eq.discrete
         t = 3.3
         vbar = sol(t)[0]
@@ -112,7 +113,7 @@ class TestPlantCoupled:
     def test_term_structure(self):
         b = builtin("plant-coupled")
         sol = lambda t: np.array([0.1 * np.cos(t), -1.0 + 0.3 * np.sin(t)])
-        eq = linearize(b.problem, (sol, 50.0))
+        eq = linearize(b.problem, ExactSolution(sol, 50.0))
         assert eq.kind == "coupled" and eq.d_x == 1 and eq.d_y == 1
         targets = sorted((t.target, t.source, t.delay) for t in eq.discrete)
         assert ("x", "x", 25.0) in targets  # the neutral term
@@ -184,7 +185,7 @@ class TestLinearizationConsistency:
         phi = lambda th: np.stack(
             [np.cos((c + 1) * np.asarray(th) / 3.0) for c in range(d)], axis=-1
         )
-        eq = linearize(problem, (lambda t: ubar(t), omega))
+        eq = linearize(problem, ExactSolution(lambda t: ubar(t), omega))
         for t in [0.3, 1.9]:
             fd = self.directional_derivative(problem, ubar, phi, t)
             lin = self.linear_action(eq, phi, t)
@@ -194,7 +195,8 @@ class TestLinearizationConsistency:
 class TestPeriodicityOfCoefficients:
     def test_linearized_coefficients_are_periodic(self):
         b = builtin("logistic", r=1.6)
-        eq = linearize(b.problem, b := (lambda t: np.atleast_1d(1 + 0.3 * np.sin(2 * np.pi * t / 4.02)), 4.02))
+        eq = linearize(b.problem, ExactSolution(
+            lambda t: np.atleast_1d(1 + 0.3 * np.sin(2 * np.pi * t / 4.02)), 4.02))
         for term in eq.discrete:
             for t in RNG.uniform(0, 4.02, size=20):
                 assert np.abs(term.coeff(t) - term.coeff(t + eq.omega)).max() <= 1e-10
@@ -290,6 +292,19 @@ class TestSolutionIO:
                                              r"\(t = 0\.8620513269144764\): jump 0\.5"):
             read_solution(p)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_values_that_are_not_finite_are_refused(self, tmp_path, bad):
+        # nan > tol is false: without its own check a nan passes the join test
+        sol = read_solution(data_path("plant_solution.sol"))
+        values = sol.values.copy()
+        values[2, 1, 1] = bad
+        broken = type(sol)(sol.breakpoints, values)
+        p = tmp_path / "bad.sol"
+        write_solution(broken, p)
+        for load in (lambda: read_solution(p), broken.validate):
+            with pytest.raises(ValueError, match=r"at node 1 of piece 2 \(component 1\) is not finite"):
+                load()
+
     def test_a_periodicity_gap_is_read(self, tmp_path):
         # a solve to tol 1e-6 may end up to tol away from where it started
         sol = read_solution(data_path("plant_solution.sol"))
@@ -328,7 +343,13 @@ class TestValidationErrors:
         prob = NonlinearProblem(name="raw", d_x=0, d_y=1, tau=1.0,
                                 rhs=lambda u: -u(-1.0))
         with pytest.raises(MissingDerivativesError):
-            linearize(prob, (lambda t: np.array([0.0]), 1.0))
+            linearize(prob, ExactSolution(lambda t: np.array([0.0]), 1.0))
+
+    def test_solution_of_another_type_is_refused(self):
+        b = builtin("logistic", r=1.6)
+        with pytest.raises(TypeError, match=r"^solution must be a PiecewiseSolution or an "
+                                            r"ExactSolution$"):
+            linearize(b.problem, (lambda t: np.ones(np.shape(t)), 4.0))
 
     def test_bad_delay(self):
         with pytest.raises(ValueError):

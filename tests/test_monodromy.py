@@ -13,6 +13,7 @@ from pwfloquet.mesh import Mesh, build_forward_grid, chebyshev_family
 from pwfloquet.model import (
     DiscreteTerm,
     DistributedTerm,
+    ExactSolution,
     LinearPeriodicEquation,
     builtin,
     linearize,
@@ -337,13 +338,54 @@ class TestPlantCoupledSpectrum:
         assert abs(point_mode - (0.1444 + 0.0382j)) <= 5e-3
 
 
+def _rotation_drift(cases, M):
+    """Largest distance of the top-6 multipliers of each ``(equation, mesh)``
+    case from those of the first case, over the largest modulus; conjugate
+    pairs are matched by distance, since either may come first."""
+    tops = []
+    for eq, mesh in cases:
+        disc = assemble(eq, mesh, chebyshev_family(M))
+        tops.append((disc.dim, multipliers(disc).values[:8]))
+    dim, ref = tops[0][0], tops[0][1][:6]
+    assert all(d == dim for d, _ in tops)
+    return max(np.abs(v[:, None] - ref).min(axis=0).max() for _, v in tops) / np.abs(ref).max()
+
+
+class TestRotationInvariance:
+    # a shift of the orbit by whole mesh pieces gives the same discretized
+    # problem up to roundoff: the perfbench seeds of qre-distributed and
+    # plant-adapted rely on it
+    def test_quadratic_re_shifted_by_whole_pieces(self):
+        b = builtin("quadratic-re", gamma=4.0)
+        L, omega, fn = 8, b.exact.omega, b.exact.fn
+        mesh = Mesh(np.linspace(0.0, omega, L + 1))
+        cases = [(linearize(b.problem, ExactSolution(
+            lambda t, k=k: fn(np.asarray(t, float) + k * omega / L), omega)), mesh)
+            for k in range(L)]
+        assert _rotation_drift(cases, 8) <= 1e-12
+
+    def test_plant_orbit_rotated_by_whole_pieces(self):
+        from pwfloquet.model import PiecewiseSolution, data_path, read_solution
+
+        orbit = read_solution(data_path("plant_solution.sol"))
+        problem, b = builtin("plant").problem, orbit.breakpoints
+        cases = []
+        for k in (0, 29, 1, 2):
+            rb = np.concatenate([b[k:-1] - b[k], b[: k + 1] + orbit.omega - b[k]])
+            rb[-1] = orbit.omega
+            sol = PiecewiseSolution(rb, np.roll(orbit.values, -k, axis=0))
+            cases.append((linearize(problem, sol), sol.mesh))
+        # at M = 20 the drift is 5.3e-13, at M = 40 1.25e-13 (dim 1042)
+        assert _rotation_drift(cases, 40) <= 1e-12
+
+
 class TestDistributedSplitting:
     def test_coupled_assembly_runs(self):
         # exercises history/forward kernel splitting and the neutral term
         b = builtin("plant-coupled", tau=2.0)
         sol = lambda t: np.stack([0.3 + 0.1 * np.sin(np.pi * t / 3),
                                   -1.0 + 0.2 * np.cos(np.pi * t / 3)], axis=-1)
-        eq = linearize(b.problem, (sol, 6.0))
+        eq = linearize(b.problem, ExactSolution(sol, 6.0))
         disc = assemble(eq, Mesh(np.linspace(0, 6, 7)), chebyshev_family(6))
         ms = multipliers(disc)
         assert np.all(np.isfinite(ms.values))
